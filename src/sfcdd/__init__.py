@@ -1,6 +1,6 @@
 """Dimension-oblivious two-level Schwarz solver on space-filling-curve partitions."""
 
-from . import coarse, combine, grid, harness, krylov, linalg, partition, schwarz, sfc
+from . import coarse, combine, grid, krylov, linalg, partition, schwarz, sfc
 from .coarse import CoarseSpace, build_coarse, deflation_ops
 from .combine import (CombinationPlan, enumerate_plan, run_combination,
                       sampled_error, subdomain_count_total)
@@ -16,8 +16,8 @@ from .schwarz import SchwarzConfig, SchwarzOperator, setup
 from .sfc import CurveConfig, decode, encode, grid_point_key, holder_estimate
 
 __all__ = [
-    "coarse", "combine", "grid", "harness", "krylov", "linalg", "partition",
-    "schwarz", "sfc",
+    "coarse", "combine", "grid", "krylov", "linalg", "partition", "schwarz",
+    "sfc",
     "CoarseSpace", "build_coarse", "deflation_ops",
     "CombinationPlan", "enumerate_plan", "run_combination", "sampled_error",
     "subdomain_count_total",

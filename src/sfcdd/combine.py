@@ -161,7 +161,7 @@ class CombinationResult:
 def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
                      weighting="omega", method="pcg", tolerance=1e-8,
                      q_rule: Callable[[int, int], int] = default_q_rule,
-                     seed: int = 42, workers: int = 1, max_iters: int = 20000):
+                     seed: int = 42, max_iters: int = 20000):
     """Solve one anisotropic subproblem; returns (PartialSolution, clamp notes)."""
     problem = grid.manufactured_poisson(levels)
     n = grid.num_dofs(levels)
@@ -181,7 +181,7 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
     part = build_partition(n, p, g)
     cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting, gamma=g, q=q)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
-    op = schwarz.setup(A_hat, part, cs, cfg, workers=workers)
+    op = schwarz.setup(A_hat, part, cs, cfg)
     solver_cfg = krylov.SolverConfig(
         method=method, tolerance=tolerance, tolerance_kind="relative_residual",
         max_iters=max_iters, seed=seed,
@@ -199,7 +199,7 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
 def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
                     weighting="omega", method="pcg", tolerance=1e-8,
                     q_rule: Callable[[int, int], int] = default_q_rule,
-                    seed: int = 42, jobs: int = 1, workers: int = 1,
+                    seed: int = 42, jobs: int = 1,
                     max_iters: int = 20000) -> CombinationResult:
     """Solve every subproblem of the plan and build the combined evaluator.
 
@@ -214,8 +214,7 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
         return solve_subproblem(
             levels, p_target, gamma=gamma, variant=variant, weighting=weighting,
             method=method, tolerance=tolerance, q_rule=q_rule, seed=seed,
-            workers=workers, max_iters=max_iters,
-        )
+            max_iters=max_iters)
 
     failures = []
     outcomes = []

@@ -54,8 +54,7 @@ class ExperimentSpec:
     tolerance: float = 1e-8
     max_iters: int = 20000
     seed: int = 42
-    eig_iters: int | None = None
-    jobs: int = 1
+    jobs: int = 1  # concurrent combination subproblems
     out: str = "results"
     sample_count: int = 2000
 
@@ -74,8 +73,7 @@ def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
 
 def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
                     variant="balanced", weighting="omega", tolerance=1e-8,
-                    seed=42, eig_iters=None, workers=1,
-                    max_iters=20000) -> krylov.SolveReport:
+                    seed=42, max_iters=20000) -> krylov.SolveReport:
     """One solve of the zero-solution Laplace study at full history.
 
     Iterates on the diagonally scaled system; since x = T x_hat, the
@@ -90,13 +88,12 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting,
                                 gamma=gamma, q=q)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
-    op = schwarz.setup(A_hat, part, cs, cfg, workers=workers)
+    op = schwarz.setup(A_hat, part, cs, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
     solver_cfg = krylov.SolverConfig(
         method=method, tolerance=tolerance,
         tolerance_kind="energy_error_reduction", max_iters=max_iters,
-        seed=seed, eig_iters=eig_iters,
-    )
+        seed=seed)
     report = krylov.run(A_hat, b_hat, op, solver_cfg, x0, exact=np.zeros(n))
     report.params.update({
         "d": len(levels), "levels": levels, "N": n, "P": p, "gamma": gamma,
@@ -160,8 +157,7 @@ def _scaling_row(spec: ExperimentSpec, levels, p: int, gamma: float,
     report = run_model_solve(
         levels, p, gamma, q, method=spec.method, variant=spec.variant,
         weighting=spec.weighting, tolerance=spec.tolerance, seed=spec.seed,
-        eig_iters=spec.eig_iters, workers=spec.jobs, max_iters=spec.max_iters,
-    )
+        max_iters=spec.max_iters)
     return _fill_report(row, report)
 
 
@@ -211,8 +207,7 @@ def run_single(spec: ExperimentSpec) -> tuple[krylov.SolveReport, dict]:
     report = run_model_solve(
         levels, spec.p, spec.gamma, q, method=spec.method,
         variant=spec.variant, weighting=spec.weighting,
-        tolerance=spec.tolerance, seed=spec.seed, eig_iters=spec.eig_iters,
-        workers=spec.jobs, max_iters=spec.max_iters,
+        tolerance=spec.tolerance, seed=spec.seed, max_iters=spec.max_iters,
     )
     row = _row(spec, levels="x".join(str(l) for l in levels), P=spec.p,
                gamma=spec.gamma, q=q, N=n)
@@ -261,8 +256,9 @@ def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
         else:  # spot check: round trips and unit steps on random key pairs
             rng = np.random.default_rng(spec.seed)
             ok_bij = ok_adj = True
+            last = (1 << cfg.key_bits) - 1  # key + 1 must stay on the curve
             for _ in range(1000):
-                key = int(rng.integers(0, (1 << cfg.key_bits) - 1))
+                key = sfc.random_key(rng, cfg.key_bits) % last
                 c = sfc.decode(key, cfg)
                 ok_bij &= sfc.encode(c, cfg) == key
                 c2 = sfc.decode(key + 1, cfg)
@@ -367,7 +363,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
     parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--method", choices=("richardson", "pcg", "fcg"),
                         default=None)
     parser.add_argument("--variant", choices=schwarz.VARIANTS, default=None)
@@ -378,7 +373,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", dest="q_value", type=int, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    parser.add_argument("--eig-iters", dest="eig_iters", type=int, default=None)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -416,6 +410,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-values", dest="p_values", type=str, default=None)
 
     p = cmd("combine")
+    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--phat", dest="p_hat", type=int, default=None)
     p.add_argument("--samples", dest="sample_count", type=int, default=None)

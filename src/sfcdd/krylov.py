@@ -11,6 +11,7 @@ histories.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import scipy.linalg as sla
 
 
 class BreakdownError(RuntimeError):
-    """Nonpositive curvature encountered in a CG recurrence."""
+    """Nonpositive CG curvature, or a non-finite residual or energy error."""
 
 
 class DivergenceError(RuntimeError):
@@ -34,7 +35,6 @@ class SolverConfig:
     tolerance_kind: str = "energy_error_reduction"  # or relative_residual
     max_iters: int = 20000
     seed: int = 42
-    eig_iters: int | None = None  # Lanczos budget for optimal damping
     fcg_window: int | None = None  # None = keep all directions
     force_unsymmetric: bool = False
 
@@ -99,22 +99,27 @@ def initial_iterate(n: int, seed: int, A) -> np.ndarray:
     return x / np.sqrt(x @ (A @ x))
 
 
-def estimate_extremal_eigs(apply_ca, n: int, *, iters: int | None = None,
-                           seed: int = 0, a_matvec=None,
-                           force_iterative: bool = False,
-                           stagnation_tol: float = 2e-5,
-                           min_iters: int = 40):
+# the Lanczos estimate stops once both extremal Ritz values have moved by
+# less than this (relative) for five consecutive steps, after at least
+# EIG_MIN_ITERS steps
+EIG_STAGNATION_TOL = 2e-5
+EIG_MIN_ITERS = 40
+
+
+def estimate_extremal_eigs(apply_ca, n: int, *, seed: int = 0, a_matvec=None):
     """Extremal eigenvalues of a preconditioned SPD operator.
 
     ``apply_ca`` applies the operator; it must be self-adjoint in the
     inner product induced by ``a_matvec`` (Euclidean when None).  Small
     problems (n <= 300) are resolved by a dense eigensolve; otherwise
-    Lanczos with full reorthogonalization runs for at most ``iters``
-    steps (default min(200, n)), stopping early once both extremal Ritz
-    values stagnate.  On breakdown the Ritz values found so far are
+    the three-term Lanczos recurrence in that inner product runs for at
+    most min(200, n) steps, stopping early once both extremal Ritz
+    values stagnate.  Extremal Ritz values converge without
+    reorthogonalization (Paige 1980), so only the last two Lanczos
+    vectors are kept.  On breakdown the Ritz values found so far are
     returned.
     """
-    if n <= 300 and not force_iterative:
+    if n <= 300:
         M = np.empty((n, n))
         e = np.zeros(n)
         for j in range(n):
@@ -124,47 +129,40 @@ def estimate_extremal_eigs(apply_ca, n: int, *, iters: int | None = None,
         lam = np.real(sla.eigvals(M))
         return float(lam.min()), float(lam.max())
 
-    if iters is None:
-        iters = min(200, n)
     rng = np.random.default_rng((seed, 0xE16))
     mv = a_matvec if a_matvec is not None else (lambda v: v)
 
-    # only the basis vectors are stored; A-products are recomputed per
-    # orthogonalization pass, trading cheap matvecs for memory
     q = rng.standard_normal(n)
-    q /= np.sqrt(float(q @ mv(q)))
-    basis = [q]
+    aq = mv(q)
+    scale = np.sqrt(float(q @ aq))
+    q, aq = q / scale, aq / scale
+    q_prev = None
     alphas: list[float] = []
     betas: list[float] = []
     prev = None
     stable = 0
-    lam_lo = lam_hi = None
-    for k in range(iters):
-        w = apply_ca(basis[k])
-        alpha = float(mv(w) @ basis[k])
+    for k in range(min(200, n)):
+        w = apply_ca(q)
+        alpha = float(w @ aq)  # (w, q) in the A-inner product
         alphas.append(alpha)
-        w = w - alpha * basis[k]
-        if k > 0:
-            w = w - betas[k - 1] * basis[k - 1]
-        for _ in range(2):  # CGS2 against the whole basis
-            aw = mv(w)
-            coeffs = [float(aw @ qj) for qj in basis]
-            for c, qj in zip(coeffs, basis):
-                w = w - c * qj
+        w = w - alpha * q
+        if q_prev is not None:
+            w = w - betas[-1] * q_prev
         lam = sla.eigvalsh_tridiagonal(alphas, betas)
         lam_lo, lam_hi = float(lam[0]), float(lam[-1])
         if prev is not None:
             d_lo = abs(lam_lo - prev[0]) / max(abs(lam_lo), 1e-30)
             d_hi = abs(lam_hi - prev[1]) / max(abs(lam_hi), 1e-30)
-            stable = stable + 1 if max(d_lo, d_hi) < stagnation_tol else 0
+            stable = stable + 1 if max(d_lo, d_hi) < EIG_STAGNATION_TOL else 0
         prev = (lam_lo, lam_hi)
-        if k + 1 >= min_iters and stable >= 5:
+        if k + 1 >= EIG_MIN_ITERS and stable >= 5:
             break
-        beta = np.sqrt(max(float(w @ mv(w)), 0.0))
+        aw = mv(w)
+        beta = np.sqrt(max(float(w @ aw), 0.0))
         if beta <= 1e-14 * max(abs(alpha), 1.0):
             break
         betas.append(beta)
-        basis.append(w / beta)
+        q_prev, q, aq = q, w / beta, aw / beta
     return lam_lo, lam_hi
 
 
@@ -191,6 +189,10 @@ class _Tracker:
             # A e = (b - r) - A x_exact, so no extra matvec is needed
             energy = float(np.sqrt(max(e @ (self.b - r - self.a_exact), 0.0)))
             self.energy_history.append(energy)
+        if not all(math.isfinite(v) for v in [res, *self.energy_history[-1:]]):
+            raise BreakdownError(
+                f"non-finite residual or energy error at iteration "
+                f"{len(self.residual_history) - 1}")
         if self.cfg.tolerance_kind == "energy_error_reduction":
             metric = self.energy_history[-1]
         else:
@@ -230,9 +232,8 @@ def richardson(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
         if precond is not None and not getattr(precond, "symmetric", True):
             raise ValueError("optimal damping requires a symmetric preconditioner")
         lam = estimate_extremal_eigs(
-            lambda v: apply_c(A @ v), n,
-            iters=cfg.eig_iters, seed=cfg.seed, a_matvec=lambda v: A @ v,
-        )
+            lambda v: apply_c(A @ v), n, seed=cfg.seed,
+            a_matvec=lambda v: A @ v)
         xi = 2.0 / (lam[0] + lam[1])
     else:
         xi = float(cfg.damping)

@@ -81,11 +81,10 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
 
 
 def triple_product(R, A) -> sp.csr_matrix:
-    """Galerkin product R A R^T, symmetrized when A is symmetric."""
+    """Galerkin product R A R^T, symmetrized; A must be symmetric (unchecked)."""
     if R.shape[1] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError(f"dimension mismatch: R {R.shape}, A {A.shape}")
     B = sp.csr_matrix(R @ A @ R.T)
-    if (A != A.T).nnz == 0:
-        B = sp.csr_matrix((B + B.T) * 0.5)
+    B = sp.csr_matrix((B + B.T) * 0.5)
     B.sort_indices()
     return B

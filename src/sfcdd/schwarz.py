@@ -15,7 +15,6 @@ non-symmetric and the operator is flagged accordingly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +45,11 @@ class SchwarzOperator:
     """Immutable preconditioner application; see :func:`setup`."""
 
     def __init__(self, A, part: Partition, coarse: CoarseSpace | None,
-                 config: SchwarzConfig, workers: int = 1):
+                 config: SchwarzConfig):
         self.A = A
         self.partition = part
         self.coarse = coarse
         self.config = config
-        self.workers = workers
         self.n = part.n
 
         self.weights = compute_weights(part)
@@ -88,16 +86,10 @@ class SchwarzOperator:
         return sol
 
     def _one_level(self, g: np.ndarray) -> np.ndarray:
-        p = self.partition.p
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                pieces = list(pool.map(lambda i: self._local_solve(i, g), range(p)))
-        else:
-            pieces = [self._local_solve(i, g) for i in range(p)]
         out = np.zeros_like(g)
         # fixed summation order keeps repeated applies bitwise identical
-        for idx, piece in zip(self._indices, pieces):
-            out[idx] += piece
+        for i, idx in enumerate(self._indices):
+            out[idx] += self._local_solve(i, g)
         return out
 
     def apply(self, g: np.ndarray) -> np.ndarray:
@@ -119,7 +111,7 @@ class SchwarzOperator:
 
 
 def setup(A, part: Partition, coarse: CoarseSpace | None,
-          config: SchwarzConfig, workers: int = 1) -> SchwarzOperator:
+          config: SchwarzConfig) -> SchwarzOperator:
     """Extract and factorize all subdomain blocks; returns the operator.
 
     ``A`` must be symmetric and ordered like the partition; ``coarse``
@@ -127,4 +119,4 @@ def setup(A, part: Partition, coarse: CoarseSpace | None,
     """
     if A.shape != (part.n, part.n):
         raise ValueError(f"matrix shape {A.shape} does not match N = {part.n}")
-    return SchwarzOperator(A, part, coarse, config, workers=workers)
+    return SchwarzOperator(A, part, coarse, config)

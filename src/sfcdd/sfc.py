@@ -174,6 +174,12 @@ def holder_bound(dim: int) -> float:
     return 2.0 * math.sqrt(dim + 3)
 
 
+def random_key(rng: np.random.Generator, key_bits: int) -> int:
+    """Uniform key in [0, 2**key_bits) from raw bytes; works beyond 64 bits."""
+    nbytes = (key_bits + 7) // 8
+    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << key_bits) - 1)
+
+
 def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
     """Empirical Holder quotient of the discrete curve.
 
@@ -186,15 +192,13 @@ def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     key_bits = cfg.key_bits
-    mask = (1 << key_bits) - 1
-    nbytes = (key_bits + 7) // 8
     inv_side = 1.0 / cfg.side
     inv_total = math.ldexp(1.0, -key_bits)
     exponent = 1.0 / cfg.dim
     worst = 0.0
     for _ in range(samples):
-        k1 = int.from_bytes(rng.bytes(nbytes), "little") & mask
-        k2 = int.from_bytes(rng.bytes(nbytes), "little") & mask
+        k1 = random_key(rng, key_bits)
+        k2 = random_key(rng, key_bits)
         if k1 == k2:
             continue
         p1 = decode(k1, cfg)

@@ -1,6 +1,10 @@
 """Experiment drivers, CSV determinism, config handling, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,24 @@ class TestCli:
         assert len(lines) == 4
         for line in lines[1:]:
             assert line.split(",")[2] == "1" and line.split(",")[3] == "1"
+
+    def test_sfc_check_beyond_64_bit_keys(self):
+        rows = harness.run_sfc_check(harness.ExperimentSpec(
+            kind="sfc_check", dim=22, level=3, sample_count=50))
+        assert [r["n"] for r in rows] == [1, 2, 3]  # keys of 22, 44, 66 bits
+        assert all(r["bijective"] == 1 and r["adjacent"] == 1 for r in rows)
+
+    def test_module_entry_point_runs_without_runpy_warning(self, tmp_path):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "sfcdd.harness", "sfc-check", "--dim", "2", "--level", "2",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_combine_command(self, tmp_path):
         code = harness.run_command([

@@ -53,13 +53,12 @@ def dense_oracle(A, part, cs, variant, weighting):
     return G.T @ C1 @ G + F  # balanced
 
 
-def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega",
-                  workers=1):
+def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
     A = grid.assemble_laplacian(levels)
     part = build_partition(A.shape[0], p, gamma)
     cs = build_coarse(part, A, q) if variant != "one_level" else None
     cfg = SchwarzConfig(variant=variant, weighting=weighting, gamma=gamma, q=q)
-    return A, part, cs, setup(A, part, cs, cfg, workers=workers)
+    return A, part, cs, setup(A, part, cs, cfg)
 
 
 class TestSetup:
@@ -198,13 +197,6 @@ class TestSpectralProperties:
 
 
 class TestConcurrency:
-    def test_workers_give_bitwise_identical_results(self):
-        _, _, _, op1 = make_operator((3, 3), 4, 0.5, 3, workers=1)
-        _, _, _, op4 = make_operator((3, 3), 4, 0.5, 3, workers=4)
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal(49)
-        np.testing.assert_array_equal(op1.apply(v), op4.apply(v))
-
     def test_concurrent_applies_on_shared_operator(self):
         _, _, _, op = make_operator((3, 3), 4, 0.5, 3)
         rng = np.random.default_rng(7)
