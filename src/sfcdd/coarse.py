@@ -61,28 +61,18 @@ def build_coarse(part: Partition, A, q: int) -> CoarseSpace:
 
 
 class DeflationOperators:
-    """Coarse correction F = R0^T A0^-1 R0 and the projections G, G^T.
+    """Coarse correction F = R0^T A0^-1 R0.
 
-    G v = v - A F v and G^T v = v - F A v; F A F = F holds by the
-    Galerkin construction.
+    The Schwarz variants build the projections G v = v - A F v and
+    G^T v = v - F A v from it; F A F = F holds by the Galerkin
+    construction.
     """
 
     def __init__(self, cs: CoarseSpace, A):
         if A.shape[1] != cs.restriction.shape[1]:
             raise ValueError("coarse space size does not match matrix")
         self._cs = cs
-        self._A = A
 
     def coarse_correction(self, v: np.ndarray) -> np.ndarray:
         cs = self._cs
         return cs.restriction.T @ cs.factorization.solve(cs.restriction @ v)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return v - self._A @ self.coarse_correction(v)
-
-    def project_transpose(self, v: np.ndarray) -> np.ndarray:
-        return v - self.coarse_correction(self._A @ v)
-
-
-def deflation_ops(cs: CoarseSpace, A) -> DeflationOperators:
-    return DeflationOperators(cs, A)

@@ -179,7 +179,7 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
     b = grid.sample_on_grid(problem.rhs, levels)
     A_hat, b_hat, t = grid.symmetrize_diag(A, b)
     part = build_partition(n, p, g)
-    cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting, gamma=g, q=q)
+    cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
     solver_cfg = krylov.SolverConfig(
@@ -209,29 +209,23 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
     """
     terms = list(plan.terms())
 
-    def solve_term(term):
+    def attempt(term):
         _, _, p_target, levels = term
-        return solve_subproblem(
-            levels, p_target, gamma=gamma, variant=variant, weighting=weighting,
-            method=method, tolerance=tolerance, q_rule=q_rule, seed=seed,
-            max_iters=max_iters)
+        try:
+            return solve_subproblem(
+                levels, p_target, gamma=gamma, variant=variant,
+                weighting=weighting, method=method, tolerance=tolerance,
+                q_rule=q_rule, seed=seed, max_iters=max_iters), None
+        except Exception as exc:  # noqa: BLE001 - aggregated below
+            return None, exc
 
-    failures = []
-    outcomes = []
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_term, term) for term in terms]
-            for term, fut in zip(terms, futures):
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - aggregated below
-                    failures.append((term[3], exc))
-    else:
-        for term in terms:
-            try:
-                outcomes.append(solve_term(term))
-            except Exception as exc:  # noqa: BLE001
-                failures.append((term[3], exc))
+            results = list(pool.map(attempt, terms))
+    else:  # on the calling thread, where perfbench keeps its span stack
+        results = list(map(attempt, terms))
+    failures = [(term[3], exc) for term, (_, exc) in zip(terms, results)
+                if exc is not None]
     if failures:
         details = "; ".join(f"{lv}: {exc}" for lv, exc in failures)
         raise CombinationError(f"failed subproblems: {details}")
@@ -239,7 +233,7 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
     partials = []
     clamps = []
     eval_terms = []
-    for (_, coeff, _, levels), (partial, notes) in zip(terms, outcomes):
+    for (_, coeff, _, levels), ((partial, notes), _) in zip(terms, results):
         partials.append(partial)
         clamps.extend(notes)
         eval_terms.append(

@@ -62,19 +62,23 @@ def sfc_permutation(levels: tuple[int, ...]) -> np.ndarray:
     """Lexicographic point index at each SFC rank.
 
     ``perm[s]`` is the flat lexicographic index of the interior point
-    with the s-th smallest Hilbert key.
+    with the s-th smallest Hilbert key.  The array is cached and shared
+    by every caller, so it is read-only.
     """
     levels = as_levels(levels)
     shape = interior_shape(levels)
     n = int(np.prod(shape))
     if len(levels) == 1:
-        return np.arange(n, dtype=np.int64)
-    keys = [
-        sfc.grid_point_key(tuple(i + 1 for i in idx), levels)
-        for idx in product(*(range(s) for s in shape))
-    ]
-    return np.fromiter(sorted(range(n), key=keys.__getitem__),
-                       dtype=np.int64, count=n)
+        perm = np.arange(n, dtype=np.int64)
+    else:
+        keys = [
+            sfc.grid_point_key(tuple(i + 1 for i in idx), levels)
+            for idx in product(*(range(s) for s in shape))
+        ]
+        perm = np.fromiter(sorted(range(n), key=keys.__getitem__),
+                           dtype=np.int64, count=n)
+    perm.setflags(write=False)
+    return perm
 
 
 def interior_points(levels) -> np.ndarray:

@@ -85,8 +85,7 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     n = A.shape[0]
     A_hat, b_hat, _ = grid.symmetrize_diag(A, np.zeros(n))
     part = build_partition(n, p, gamma)
-    cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting,
-                                gamma=gamma, q=q)
+    cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
@@ -161,13 +160,21 @@ def _scaling_row(spec: ExperimentSpec, levels, p: int, gamma: float,
     return _fill_report(row, report)
 
 
+def _weak_rows(spec: ExperimentSpec, dims, gammas) -> list[dict]:
+    """Weak-type rows over (d, gamma, P), 2**S unknowns per subdomain."""
+    rows = []
+    for d in dims:
+        sub = replace(spec, dim=d)
+        for gamma in gammas:
+            for p in spec.p_values:
+                rows.append(_scaling_row(sub, weak_levels(d, spec.s, p), p,
+                                         gamma, s_col=spec.s))
+    return rows
+
+
 def run_weak_scaling(spec: ExperimentSpec) -> list[dict]:
     """Fixed subproblem size 2**S per subdomain, growing P."""
-    rows = []
-    for p in spec.p_values:
-        levels = weak_levels(spec.dim, spec.s, p)
-        rows.append(_scaling_row(spec, levels, p, spec.gamma, s_col=spec.s))
-    return rows
+    return _weak_rows(spec, (spec.dim,), (spec.gamma,))
 
 
 def run_strong_scaling(spec: ExperimentSpec) -> list[dict]:
@@ -182,22 +189,11 @@ def run_strong_scaling(spec: ExperimentSpec) -> list[dict]:
 
 
 def run_gamma_sweep(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    for gamma in spec.gamma_values:
-        for p in spec.p_values:
-            levels = weak_levels(spec.dim, spec.s, p)
-            rows.append(_scaling_row(spec, levels, p, gamma, s_col=spec.s))
-    return rows
+    return _weak_rows(spec, (spec.dim,), spec.gamma_values)
 
 
 def run_dim_sweep(spec: ExperimentSpec) -> list[dict]:
-    rows = []
-    for d in spec.dims:
-        sub = replace(spec, dim=d)
-        for p in spec.p_values:
-            levels = weak_levels(d, spec.s, p)
-            rows.append(_scaling_row(sub, levels, p, spec.gamma, s_col=spec.s))
-    return rows
+    return _weak_rows(spec, spec.dims, (spec.gamma,))
 
 
 def run_single(spec: ExperimentSpec) -> tuple[krylov.SolveReport, dict]:

@@ -45,6 +45,8 @@ class SolverConfig:
             raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 
 
 @dataclass

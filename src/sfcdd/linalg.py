@@ -22,18 +22,6 @@ class FactorizationError(RuntimeError):
     """Raised when a matrix expected to be SPD cannot be factorized."""
 
 
-def as_csr(A) -> sp.csr_matrix:
-    B = sp.csr_matrix(A)
-    B.sort_indices()
-    return B
-
-
-def matvec(A, x: np.ndarray) -> np.ndarray:
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
-
-
 class Factorization:
     """Direct solver for a symmetric positive definite matrix."""
 
@@ -74,10 +62,6 @@ class Factorization:
 
 def factorize(A) -> Factorization:
     return Factorization(A)
-
-
-def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
-    return F.solve(b)
 
 
 def triple_product(R, A) -> sp.csr_matrix:

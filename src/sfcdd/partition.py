@@ -42,24 +42,6 @@ class CyclicRange:
         tail = np.arange(0, self.stop - self.modulus, dtype=np.int64)
         return np.concatenate([head, tail])
 
-    def contains(self, j: int) -> bool:
-        off = (j - self.start) % self.modulus
-        return off < self.length
-
-
-def restrict(rng: CyclicRange, x: np.ndarray) -> np.ndarray:
-    if x.shape[0] != rng.modulus:
-        raise ValueError(f"global vector has {x.shape[0]} entries, expected {rng.modulus}")
-    return x[rng.indices()]
-
-
-def extend(rng: CyclicRange, x_local: np.ndarray) -> np.ndarray:
-    if x_local.shape[0] != rng.length:
-        raise ValueError(f"local vector has {x_local.shape[0]} entries, expected {rng.length}")
-    out = np.zeros(rng.modulus, dtype=np.float64)
-    out[rng.indices()] = x_local
-    return out
-
 
 def disjoint_partition(n: int, p: int) -> list[CyclicRange]:
     """P consecutive ranges tiling [0, N); the first N mod P get one extra index."""
@@ -149,13 +131,8 @@ class OverlapWeights:
 
 
 def compute_weights(p: Partition) -> OverlapWeights:
-    counts = np.zeros(p.n, dtype=np.int64)
-    for rng in p.overlapped:
-        np.add.at(counts, rng.indices(), 1)
-    diagonals = tuple(1.0 / counts[rng.indices()] for rng in p.overlapped)
+    indices = [rng.indices() for rng in p.overlapped]
+    counts = np.bincount(np.concatenate(indices), minlength=p.n)
+    diagonals = tuple(1.0 / counts[idx] for idx in indices)
     omega = np.array([d.max() for d in diagonals])
     return OverlapWeights(counts, diagonals, omega)
-
-
-def is_half_integer(gamma) -> bool:
-    return (2 * _as_fraction(gamma)).denominator == 1

@@ -8,9 +8,10 @@ Variants:
 with C^-1 the (weighted) one-level operator, F/G from :mod:`sfcdd.coarse`
 and the coarse term always unweighted.  Weightings: none, a scalar
 omega_i per subdomain, or the full partition-of-unity diagonals.  The
-diagonal weighting yields a symmetric operator exactly when gamma is a
-half-integer (uniform overlap counts); other gammas leave it
-non-symmetric and the operator is flagged accordingly.
+one-level term is one gather of all overlapped ranges, P local solves
+and one weighted scatter.  The diagonal weighting yields a symmetric
+operator exactly when every D_i is a multiple of the identity; otherwise
+the operator is flagged non-symmetric.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarse import CoarseSpace, DeflationOperators, deflation_ops
+from .coarse import CoarseSpace, DeflationOperators
 from .linalg import factorize
-from .partition import Partition, compute_weights, is_half_integer
+from .partition import Partition, compute_weights
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
 WEIGHTINGS = ("none", "omega", "d_matrix")
@@ -31,8 +32,6 @@ WEIGHTINGS = ("none", "omega", "d_matrix")
 class SchwarzConfig:
     variant: str = "balanced"
     weighting: str = "omega"
-    gamma: float = 0.5
-    q: int = 1
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -52,16 +51,26 @@ class SchwarzOperator:
         self.config = config
         self.n = part.n
 
-        self.weights = compute_weights(part)
-        self._indices = [rng.indices() for rng in part.overlapped]
+        weights = compute_weights(part)
+        ranges = part.overlapped
+        # all overlapped ranges back to back; block i is
+        # _gather[_bounds[i]:_bounds[i + 1]]
+        self._gather = np.concatenate([rng.indices() for rng in ranges])
+        self._bounds = np.cumsum([0] + [rng.length for rng in ranges]).tolist()
         self._factorizations = [
-            factorize(A[idx][:, idx].tocsr()) for idx in self._indices
+            factorize(A[idx][:, idx].tocsr())
+            for idx in np.split(self._gather, self._bounds[1:-1])
         ]
+        # per-entry weight of the gathered local solutions; None = unweighted
+        if config.weighting == "omega":
+            self._scale = np.repeat(weights.omega, np.diff(self._bounds))
+        elif config.weighting == "d_matrix":
+            self._scale = np.concatenate(weights.diagonals)
+        else:
+            self._scale = None
 
-        counts_uniform = self.weights.counts.min() == self.weights.counts.max()
-        weighting_symmetric = config.weighting != "d_matrix" or (
-            is_half_integer(config.gamma) and counts_uniform
-        )
+        weighting_symmetric = config.weighting != "d_matrix" or all(
+            d.min() == d.max() for d in weights.diagonals)
         # the deflated operator G^T C^-1 + F projects on one side only and
         # is non-symmetric even for symmetric C
         self.symmetric = weighting_symmetric and config.variant != "deflated"
@@ -71,26 +80,18 @@ class SchwarzOperator:
         else:
             if coarse is None:
                 raise ValueError(f"variant {config.variant!r} needs a coarse space")
-            self._deflation: DeflationOperators | None = deflation_ops(coarse, A)
-
-    def subdomain_sizes(self) -> list[int]:
-        return [len(idx) for idx in self._indices]
-
-    def _local_solve(self, i: int, g: np.ndarray) -> np.ndarray:
-        sol = self._factorizations[i].solve(g[self._indices[i]])
-        w = self.config.weighting
-        if w == "omega":
-            sol = self.weights.omega[i] * sol
-        elif w == "d_matrix":
-            sol = self.weights.diagonals[i] * sol
-        return sol
+            self._deflation = DeflationOperators(coarse, A)
 
     def _one_level(self, g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(g)
-        # fixed summation order keeps repeated applies bitwise identical
-        for i, idx in enumerate(self._indices):
-            out[idx] += self._local_solve(i, g)
-        return out
+        y = g[self._gather]
+        bounds = self._bounds
+        for f, a, b in zip(self._factorizations, bounds, bounds[1:]):
+            y[a:b] = f.solve(y[a:b])
+        if self._scale is not None:
+            y *= self._scale
+        # bincount adds in gather order, i.e. subdomain by subdomain, so
+        # repeated applies are bitwise identical
+        return np.bincount(self._gather, weights=y, minlength=self.n)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         if g.shape != (self.n,):

@@ -31,7 +31,7 @@ def model_runs(levels, p, gamma, q, methods, weighting="omega", seed=42):
     part = build_partition(n, p, gamma)
     cs = build_coarse(part, A_hat, q)
     op = schwarz.setup(A_hat, part, cs,
-                       schwarz.SchwarzConfig("balanced", weighting, gamma, q))
+                       schwarz.SchwarzConfig("balanced", weighting))
     x0 = krylov.initial_iterate(n, seed, A_hat)
     zero = np.zeros(n)
     out = {}

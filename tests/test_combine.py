@@ -166,11 +166,14 @@ class TestRunCombination:
 
     def test_solver_failures_aggregated_with_level_vectors(self):
         plan = combine.enumerate_plan(2, 4)
-        with pytest.raises(combine.CombinationError) as err:
-            # zero iterations cannot converge; every subproblem must fail and
-            # the aggregate error names the offending level vectors
-            combine.run_combination(plan, seed=7, max_iters=0, method="pcg")
-        assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
+        # serial and threaded runs share one failure-collecting path
+        for jobs in (1, 2):
+            with pytest.raises(combine.CombinationError) as err:
+                # zero iterations cannot converge; every subproblem must fail
+                # and the aggregate error names the offending level vectors
+                combine.run_combination(plan, seed=7, max_iters=0,
+                                        method="pcg", jobs=jobs)
+            assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
 
     def test_jobs_parallel_matches_serial(self):
         plan = combine.enumerate_plan(2, 4)

@@ -87,6 +87,13 @@ class TestSfcOrdering:
     def test_1d_order_is_natural(self):
         np.testing.assert_array_equal(grid.sfc_permutation((5,)), np.arange(31))
 
+    @pytest.mark.parametrize("levels", [(5,), (3, 2)])
+    def test_cached_permutation_is_read_only(self, levels):
+        perm = grid.sfc_permutation(levels)
+        with pytest.raises(ValueError):
+            perm[[0, 1]] = perm[[1, 0]]
+        assert grid.sfc_permutation(levels) is perm
+
     def test_interior_points_in_unit_cube(self):
         pts = grid.interior_points((2, 3))
         assert pts.shape == (21, 2)

@@ -271,6 +271,14 @@ class TestCli:
         payload = json.loads(err)
         assert "error" in payload
 
+    def test_negative_max_iters_fails_fast(self, tmp_path, capsys):
+        code = harness.main([
+            "solve", "--dim", "1", "--level", "3", "--p", "2",
+            "--max-iters", "-3", "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "max_iters" in payload["error"]
+
     def test_combine_solver_alias(self, tmp_path):
         code = harness.run_command([
             "combine", "--dim", "2", "--level", "4", "--solver", "pcg",

@@ -27,7 +27,7 @@ def model_setup(levels, p, gamma, q, variant="balanced", weighting="omega"):
     Ah, _, _ = grid.symmetrize_diag(A, np.zeros(n))
     part = build_partition(n, p, gamma)
     cs = build_coarse(part, Ah, q) if variant != "one_level" else None
-    op = setup(Ah, part, cs, SchwarzConfig(variant, weighting, gamma, q))
+    op = setup(Ah, part, cs, SchwarzConfig(variant, weighting))
     return Ah, op
 
 
@@ -272,3 +272,6 @@ def test_solver_config_validation():
         krylov.SolverConfig(tolerance=-1.0)
     with pytest.raises(ValueError):
         krylov.SolverConfig(tolerance_kind="none")
+    with pytest.raises(ValueError, match="max_iters"):
+        krylov.SolverConfig(max_iters=-3)
+    assert krylov.SolverConfig(max_iters=0).max_iters == 0

@@ -1,4 +1,4 @@
-"""Sparse products and factorizations against dense oracles."""
+"""Factorizations and Galerkin triple products against dense oracles."""
 
 import numpy as np
 import pytest
@@ -7,39 +7,10 @@ import scipy.sparse as sp
 from sfcdd import grid, linalg
 
 
-def random_sparse(n, m, density, seed):
-    rng = np.random.default_rng(seed)
-    M = sp.random(n, m, density=density, random_state=np.random.RandomState(seed),
-                  format="csr")
-    M.data = rng.standard_normal(M.nnz)
-    return M
-
-
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
     return sp.csr_matrix(B.T @ B + n * np.eye(n))
-
-
-class TestMatvec:
-    def test_identity(self):
-        x = np.arange(4.0)
-        np.testing.assert_array_equal(linalg.matvec(sp.eye(4, format="csr"), x), x)
-
-    def test_1d_laplacian_times_ones(self):
-        A = grid.assemble_laplacian((2,))
-        np.testing.assert_array_equal(
-            linalg.matvec(A, np.ones(3)), [16.0, 0.0, 16.0])
-
-    def test_random_matches_dense(self):
-        A = random_sparse(50, 50, 0.2, 3)
-        x = np.random.default_rng(4).standard_normal(50)
-        np.testing.assert_allclose(
-            linalg.matvec(A, x), A.toarray() @ x, atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.matvec(sp.eye(4, format="csr"), np.ones(5))
 
 
 class TestFactorize:
@@ -90,7 +61,7 @@ class TestFactorize:
     def test_solve_zero_gives_zero(self):
         A = random_spd(10, 10)
         F = linalg.factorize(A)
-        np.testing.assert_array_equal(linalg.solve(F, np.zeros(10)), np.zeros(10))
+        np.testing.assert_array_equal(F.solve(np.zeros(10)), np.zeros(10))
 
 
 class TestTripleProduct:

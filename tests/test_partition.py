@@ -148,7 +148,7 @@ class TestWeights:
         w = pt.compute_weights(part)
         acc = np.zeros(n)
         for rng, diag in zip(part.overlapped, w.diagonals):
-            acc += pt.extend(rng, diag)
+            acc[rng.indices()] += diag
         np.testing.assert_array_equal(acc, np.ones(n))
 
     @settings(max_examples=100, deadline=None)
@@ -160,49 +160,34 @@ class TestWeights:
         part = pt.build_partition(n, p, gamma)
         w = pt.compute_weights(part)
         np.testing.assert_array_equal(w.counts, brute_force_cover_counts(part))
-        if pt.is_half_integer(gamma):
+        if (2 * gamma).is_integer():
             assert np.all(w.counts == int(round(2 * gamma + 1)))
 
 
 class TestRestrictExtend:
+    """R_i x = x[indices] and R_i^T y scattered back through indices."""
+
     def test_full_range_identity(self):
         rng = pt.CyclicRange(0, 6, 6)
-        x = np.arange(6.0)
-        np.testing.assert_array_equal(pt.restrict(rng, x), x)
-        np.testing.assert_array_equal(pt.extend(rng, x), x)
+        np.testing.assert_array_equal(rng.indices(), np.arange(6))
 
     def test_disjoint_ranges_give_zero(self):
         r1 = pt.CyclicRange(0, 3, 10)
         r2 = pt.CyclicRange(5, 3, 10)
-        local = np.ones(3)
-        np.testing.assert_array_equal(pt.restrict(r2, pt.extend(r1, local)),
-                                      np.zeros(3))
+        extended = np.zeros(10)
+        extended[r1.indices()] = np.ones(3)
+        np.testing.assert_array_equal(extended[r2.indices()], np.zeros(3))
 
     def test_wrap_around(self):
         rng = pt.CyclicRange(8, 4, 10)
         np.testing.assert_array_equal(rng.indices(), [8, 9, 0, 1])
         x = np.arange(10.0)
-        np.testing.assert_array_equal(pt.restrict(rng, x), [8.0, 9.0, 0.0, 1.0])
+        np.testing.assert_array_equal(x[rng.indices()], [8.0, 9.0, 0.0, 1.0])
 
     def test_partition_reconstruction(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(23)
         total = np.zeros(23)
         for r in pt.disjoint_partition(23, 4):
-            total += pt.extend(r, pt.restrict(r, x))
+            total[r.indices()] += x[r.indices()]
         np.testing.assert_array_equal(total, x)
-
-    def test_dimension_checks(self):
-        rng = pt.CyclicRange(0, 3, 10)
-        with pytest.raises(ValueError):
-            pt.restrict(rng, np.ones(9))
-        with pytest.raises(ValueError):
-            pt.extend(rng, np.ones(4))
-
-
-def test_is_half_integer():
-    assert pt.is_half_integer(0.5)
-    assert pt.is_half_integer(2.0)
-    assert pt.is_half_integer(1.5)
-    assert not pt.is_half_integer(0.25)
-    assert not pt.is_half_integer(0.2)

@@ -57,7 +57,7 @@ def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
     A = grid.assemble_laplacian(levels)
     part = build_partition(A.shape[0], p, gamma)
     cs = build_coarse(part, A, q) if variant != "one_level" else None
-    cfg = SchwarzConfig(variant=variant, weighting=weighting, gamma=gamma, q=q)
+    cfg = SchwarzConfig(variant=variant, weighting=weighting)
     return A, part, cs, setup(A, part, cs, cfg)
 
 
@@ -75,18 +75,20 @@ class TestSetup:
             assert np.all(diag == w.omega[i])
             assert np.all(diag == 0.5)
 
-    def test_subdomain_sizes_match_partition(self):
-        _, part, _, op = make_operator((3, 3), 4, 0.5, 2)
-        assert op.subdomain_sizes() == [r.length for r in part.overlapped]
-
     def test_symmetry_flag(self):
-        for weighting, gamma, expected in [
-            ("none", 0.25, True), ("omega", 0.25, True),
-            ("d_matrix", 0.5, True), ("d_matrix", 1.0, True),
-            ("d_matrix", 0.25, False),
+        for weighting, p, gamma, expected in [
+            ("none", 8, 0.25, True), ("omega", 8, 0.25, True),
+            ("d_matrix", 8, 0.5, True), ("d_matrix", 8, 1.0, True),
+            ("d_matrix", 8, 0.25, False),
+            # P = N: every index lies in exactly two ranges, D_i = I/2
+            ("d_matrix", 63, 0.25, True),
         ]:
-            _, _, _, op = make_operator((6,), 8, gamma, 2, weighting=weighting)
-            assert op.symmetric == expected, (weighting, gamma)
+            _, _, _, op = make_operator((6,), p, gamma, min(2, 63 // p),
+                                        weighting=weighting)
+            assert op.symmetric == expected, (weighting, p, gamma)
+            if expected:
+                M = dense_operator(op)
+                assert np.abs(M - M.T).max() < 1e-12, (weighting, p, gamma)
 
     def test_deflated_variant_flagged_non_symmetric(self):
         _, _, _, op = make_operator((6,), 8, 0.5, 2, variant="deflated",
@@ -97,7 +99,7 @@ class TestSetup:
         A = grid.assemble_laplacian((4,))
         part = build_partition(15, 3, 0.5)
         with pytest.raises(ValueError):
-            setup(A, part, None, SchwarzConfig("balanced", "omega", 0.5, 1))
+            setup(A, part, None, SchwarzConfig("balanced", "omega"))
 
 
 class TestApply:
@@ -147,6 +149,32 @@ class TestApply:
         np.testing.assert_allclose(dense_operator(op_d), expected, atol=1e-10)
         assert np.abs(dense_operator(op_plain)
                       - (G.T @ C1 @ G + F)).max() < 1e-10
+
+    # wrapping first range, fractional gamma, uneven overlap counts;
+    # the 1d case also has omega_i that differ between subdomains
+    @pytest.mark.parametrize("levels,p,gamma", [((3, 4), 5, 0.75),
+                                                ((3,), 5, 1.25)])
+    @pytest.mark.parametrize("weighting", ["none", "omega", "d_matrix"])
+    def test_one_level_matches_per_subdomain_loop_bitwise(self, levels, p,
+                                                          gamma, weighting):
+        _, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+                                       weighting)
+        assert part.overlapped[0].stop > part.n
+        weights = compute_weights(part)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            g = rng.standard_normal(part.n)
+            expected = np.zeros(part.n)
+            for i, (r, f) in enumerate(zip(part.overlapped,
+                                           op._factorizations)):
+                idx = r.indices()
+                sol = f.solve(g[idx])
+                if weighting == "omega":
+                    sol = weights.omega[i] * sol
+                elif weighting == "d_matrix":
+                    sol = weights.diagonals[i] * sol
+                expected[idx] += sol
+            assert np.array_equal(op.apply(g), expected)
 
     def test_dimension_check(self):
         _, _, _, op = make_operator((5,), 4, 0.5, 2)
