@@ -207,17 +207,23 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
     results are reduced in plan order, so the outcome does not depend on
     scheduling.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     terms = list(plan.terms())
 
     def attempt(term):
         _, _, p_target, levels = term
         try:
-            return solve_subproblem(
+            partial, notes = solve_subproblem(
                 levels, p_target, gamma=gamma, variant=variant,
                 weighting=weighting, method=method, tolerance=tolerance,
-                q_rule=q_rule, seed=seed, max_iters=max_iters), None
+                q_rule=q_rule, seed=seed, max_iters=max_iters)
         except Exception as exc:  # noqa: BLE001 - aggregated below
             return None, exc
+        # reorder while the subproblem's SFC permutation is still cached;
+        # after the whole plan it has been evicted on plans of > 128 grids
+        values_lex = grid.scatter_to_lex(levels, partial.values)
+        return (partial, notes, values_lex), None
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -233,11 +239,11 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
     partials = []
     clamps = []
     eval_terms = []
-    for (_, coeff, _, levels), ((partial, notes), _) in zip(terms, results):
+    for (_, coeff, _, levels), ((partial, notes, values_lex), _) in zip(
+            terms, results):
         partials.append(partial)
         clamps.extend(notes)
-        eval_terms.append(
-            (coeff, levels, grid.scatter_to_lex(levels, partial.values)))
+        eval_terms.append((coeff, levels, values_lex))
     return CombinationResult(plan, CombinedSolution(eval_terms), partials, clamps)
 
 

@@ -62,6 +62,8 @@ class ExperimentSpec:
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
     if spec.q_rule == "fixed":
         q = spec.q_value
+        if q < 1:
+            raise ValueError(f"q must be positive, got {q}")
     elif spec.q_rule == "srel4":
         q = 2 ** max(0, spec.s - 4)
     elif spec.q_rule == "auto":

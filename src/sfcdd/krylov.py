@@ -35,8 +35,6 @@ class SolverConfig:
     tolerance_kind: str = "energy_error_reduction"  # or relative_residual
     max_iters: int = 20000
     seed: int = 42
-    fcg_window: int | None = None  # None = keep all directions
-    force_unsymmetric: bool = False
 
     def __post_init__(self) -> None:
         if self.method not in ("richardson", "pcg", "fcg"):
@@ -260,10 +258,8 @@ def richardson(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
 def pcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
     """Preconditioned conjugate gradients; refuses non-symmetric preconditioners."""
     t0 = time.perf_counter()
-    if (precond is not None and not getattr(precond, "symmetric", True)
-            and not cfg.force_unsymmetric):
-        raise ValueError(
-            "preconditioner is not symmetric; use fcg or force_unsymmetric")
+    if precond is not None and not getattr(precond, "symmetric", True):
+        raise ValueError("preconditioner is not symmetric; use fcg")
     apply_c = precond.apply if precond is not None else (lambda v: v.copy())
     tracker = _Tracker(A, b, cfg, exact)
     x = np.array(x0, dtype=np.float64)
@@ -296,8 +292,8 @@ def pcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
 
 def fcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
     """Flexible CG: new directions are explicitly A-orthogonalized
-    against the stored previous ones (``fcg_window`` limits the memory),
-    so non-symmetric preconditioners are admissible."""
+    against all stored previous ones, so non-symmetric preconditioners
+    are admissible."""
     t0 = time.perf_counter()
     apply_c = precond.apply if precond is not None else (lambda v: v.copy())
     tracker = _Tracker(A, b, cfg, exact)
@@ -320,8 +316,6 @@ def fcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
         x += alpha * p
         r -= alpha * Ap
         directions.append((p, Ap, pAp))
-        if cfg.fcg_window is not None and len(directions) > cfg.fcg_window:
-            directions.pop(0)
         report.iterations = k
         if tracker.record(x, r):
             report.converged = True

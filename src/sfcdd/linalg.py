@@ -1,21 +1,17 @@
-"""Sparse-matrix plumbing: CSR products, direct factorization, Galerkin triple products.
+"""Sparse-matrix plumbing: direct factorization, Galerkin triple products.
 
-Matrices are scipy CSR throughout.  Factorizations of symmetric positive
-definite blocks use dense Cholesky up to ``DENSE_LIMIT`` unknowns and a
-sparse LU with minimum-degree ordering above that (the stencil blocks
-are sparse enough that dense factors lose badly beyond a few hundred
-unknowns).  Factorizations are immutable after construction and their
-solves are safe to call concurrently.
+Matrices are scipy CSR throughout.  Every symmetric positive definite
+block is factorized by one sparse LU (SuperLU) with minimum-degree
+ordering and the pivots kept on the diagonal, so a positive diagonal of
+U is an exact SPD test.  Factorizations are immutable after
+construction and their solves are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-DENSE_LIMIT = 512
 
 
 class FactorizationError(RuntimeError):
@@ -30,33 +26,29 @@ class Factorization:
         if n != m:
             raise ValueError(f"matrix is not square: {A.shape}")
         self.n = n
-        if n <= DENSE_LIMIT:
-            try:
-                self._cho = sla.cho_factor(
-                    np.asarray(A.todense() if sp.issparse(A) else A),
-                    lower=True, check_finite=False,
-                )
-            except sla.LinAlgError as exc:
-                raise FactorizationError(f"Cholesky failed: {exc}") from exc
-            self._lu = None
-        else:
-            # minimum-degree on A+A^T: SFC order alone leaves near-full
-            # bandwidth for d >= 3 coarse matrices and the LU fill explodes
+        # minimum-degree on A+A^T: SFC order alone leaves near-full
+        # bandwidth for d >= 3 coarse matrices and the LU fill explodes.
+        # diag_pivot_thresh=0 keeps every nonzero pivot on the diagonal,
+        # so the elimination is that of LDL^T and U's diagonal is D
+        try:
             lu = spla.splu(
                 sp.csc_matrix(A),
                 permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
-            if np.any(lu.U.diagonal() <= 0.0):
-                raise FactorizationError("nonpositive pivot, matrix is not SPD")
-            self._lu = lu
-            self._cho = None
+        except RuntimeError as exc:  # exactly singular
+            raise FactorizationError(f"SuperLU failed: {exc}") from exc
+        # a zero diagonal pivot sends SuperLU off the diagonal, which
+        # leaves the row order different from the column order
+        if (not np.array_equal(lu.perm_r, lu.perm_c)
+                or np.any(lu.U.diagonal() <= 0.0)):
+            raise FactorizationError("nonpositive pivot, matrix is not SPD")
+        self._lu = lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if b.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: n={self.n}, b has {b.shape[0]}")
-        if self._cho is not None:
-            return sla.cho_solve(self._cho, b, check_finite=False)
         return self._lu.solve(b)
 
 

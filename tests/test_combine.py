@@ -175,6 +175,16 @@ class TestRunCombination:
                                         method="pcg", jobs=jobs)
             assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
 
+    def test_each_level_vector_is_ordered_once(self):
+        plan = combine.enumerate_plan(5, 6)
+        terms = list(plan.terms())
+        # more distinct grids than the ordering cache holds
+        assert len({levels for *_, levels in terms}) > \
+            grid.sfc_permutation.cache_info().maxsize
+        grid.sfc_permutation.cache_clear()
+        combine.run_combination(plan, seed=7)
+        assert grid.sfc_permutation.cache_info().misses == len(terms)
+
     def test_jobs_parallel_matches_serial(self):
         plan = combine.enumerate_plan(2, 4)
         serial = combine.run_combination(plan, seed=7, jobs=1)

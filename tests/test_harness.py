@@ -279,6 +279,22 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert "max_iters" in payload["error"]
 
+    def test_nonpositive_fixed_q_fails_fast(self, tmp_path, capsys):
+        code = harness.main([
+            "solve", "--dim", "1", "--level", "5", "--p", "4",
+            "--q-rule", "fixed", "--q", "-5", "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "q must be positive" in payload["error"]
+
+    def test_nonpositive_jobs_fails_fast(self, tmp_path, capsys):
+        code = harness.main([
+            "combine", "--dim", "2", "--level", "3", "--jobs", "-3",
+            "--samples", "10", "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "jobs" in payload["error"]
+
     def test_combine_solver_alias(self, tmp_path):
         code = harness.run_command([
             "combine", "--dim", "2", "--level", "4", "--solver", "pcg",

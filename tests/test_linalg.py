@@ -32,15 +32,37 @@ class TestFactorize:
         np.testing.assert_allclose(linalg.factorize(A).solve(b), expected,
                                    rtol=1e-9)
 
-    def test_sparse_path_above_dense_limit(self):
-        n = linalg.DENSE_LIMIT + 10
+    def test_recovers_solution_of_522_unknown_laplacian_block(self):
+        n = 522
         A = grid.assemble_laplacian((13,))[:n, :][:, :n].tocsr()
         x = np.random.default_rng(7).standard_normal(n)
         b = A @ x
         np.testing.assert_allclose(linalg.factorize(A).solve(b), x, atol=1e-8)
 
-    def test_rejects_indefinite(self):
-        A = sp.diags([1.0, -1.0, 2.0]).tocsr()
+    def test_accepts_spd_arrow_without_diagonal_dominance(self):
+        # 599 unit-diagonal leaves coupled by 2 to one hub: SPD (Schur
+        # complement 1), but an off-diagonal pivot exceeds each leaf's own
+        k = 599
+        leaves = np.arange(1, k + 1)
+        hub = np.zeros(k, dtype=int)
+        A = sp.csr_matrix((np.full(2 * k, 2.0),
+                           (np.r_[leaves, hub], np.r_[hub, leaves])),
+                          shape=(k + 1, k + 1))
+        A = (A + sp.diags(np.r_[4.0 * k + 1.0, np.ones(k)])).tocsr()
+        x = np.arange(k + 1.0)
+        np.testing.assert_allclose(linalg.factorize(A).solve(A @ x), x,
+                                   rtol=1e-8)
+
+    @pytest.mark.parametrize("A", [
+        sp.diags([1.0, -1.0, 2.0]).tocsr(),
+        # eigenvalues 3 and -1 in each block, positive diagonal throughout
+        sp.block_diag([np.array([[1.0, 2.0], [2.0, 1.0]])] * 300,
+                      format="csr"),
+        # zero diagonal pivot: SuperLU would pivot off the diagonal
+        sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        sp.diags([1.0, 0.0]).tocsr(),
+    ], ids=["diagonal", "blocks600", "swap", "singular"])
+    def test_rejects_indefinite(self, A):
         with pytest.raises(linalg.FactorizationError):
             linalg.factorize(A)
 
