@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -67,16 +66,14 @@ def sfc_permutation(levels: tuple[int, ...]) -> np.ndarray:
     """
     levels = as_levels(levels)
     shape = interior_shape(levels)
-    n = int(np.prod(shape))
     if len(levels) == 1:
-        perm = np.arange(n, dtype=np.int64)
+        perm = np.arange(shape[0], dtype=np.int64)
     else:
-        keys = [
-            sfc.grid_point_key(tuple(i + 1 for i in idx), levels)
-            for idx in product(*(range(s) for s in shape))
-        ]
-        perm = np.fromiter(sorted(range(n), key=keys.__getitem__),
-                           dtype=np.int64, count=n)
+        bits = max(levels)
+        shifts = np.array([bits - l for l in levels], dtype=np.uint64)
+        coords = np.indices(shape, dtype=np.uint64).reshape(len(shape), -1)
+        hi, lo = sfc.encode_many(coords << shifts[:, None], bits)
+        perm = np.lexsort((lo, hi))
     perm.setflags(write=False)
     return perm
 
@@ -96,24 +93,31 @@ def assemble_laplacian(levels) -> sp.csr_matrix:
     """(2d+1)-point finite-difference matrix of -Laplace in SFC order.
 
     Diagonal sum_j 2/h_j**2, off-diagonal -1/h_j**2 towards each axis-j
-    neighbour; symmetric positive definite.
+    neighbour; symmetric positive definite.  The stencil is laid out in
+    lexicographic numbering, neighbours at +-stride, and its rows and
+    columns are mapped to SFC ranks in one COO -> CSR conversion.
     """
     levels = as_levels(levels)
-    num_dofs(levels)
+    n = num_dofs(levels)
     shape = interior_shape(levels)
-    A = None
-    for j, (s, l) in enumerate(zip(shape, levels)):
-        w = float(4**l)
-        T = sp.diags(
-            [-w * np.ones(s - 1), 2.0 * w * np.ones(s), -w * np.ones(s - 1)],
-            offsets=[-1, 0, 1], format="csr",
-        )
-        left = int(np.prod(shape[:j], dtype=np.int64))
-        right = int(np.prod(shape[j + 1:], dtype=np.int64))
-        term = sp.kron(sp.kron(sp.eye(left), T), sp.eye(right), format="csr")
-        A = term if A is None else A + term
+    lex = np.arange(n, dtype=np.int64).reshape(shape)
+    weights = [float(4**l) for l in levels]
+    rows = [lex.ravel()]
+    cols = [lex.ravel()]
+    vals = [np.full(n, 2.0 * sum(weights))]
+    for j, w in enumerate(weights):
+        upper = np.delete(lex, 0, axis=j).ravel()  # points with a -e_j neighbour
+        lower = upper - int(np.prod(shape[j + 1:], dtype=np.int64))
+        rows += [upper, lower]
+        cols += [lower, upper]
+        vals.append(np.full(2 * upper.size, -w))
     perm = sfc_permutation(levels)
-    A = sp.csr_matrix(A)[perm][:, perm].tocsr()
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n, dtype=np.int64)
+    A = sp.coo_matrix(
+        (np.concatenate(vals),
+         (rank[np.concatenate(rows)], rank[np.concatenate(cols)])),
+        shape=(n, n)).tocsr()
     A.sort_indices()
     return A
 
@@ -125,8 +129,8 @@ def symmetrize_diag(A, b):
     T = diag(t) = diag(A)**-1/2; solutions map back via x = t * x_hat.
     """
     d = np.asarray(A.diagonal())
-    if np.any(d <= 0.0):
-        raise ValueError("matrix has a nonpositive diagonal entry")
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise ValueError("matrix has a nonpositive or non-finite diagonal entry")
     t = 1.0 / np.sqrt(d)
     T = sp.diags(t)
     A_hat = sp.csr_matrix(T @ A @ T)

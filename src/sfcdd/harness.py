@@ -60,6 +60,8 @@ class ExperimentSpec:
 
 
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
+    if p < 1:
+        raise ValueError(f"P must be positive, got {p}")
     if spec.q_rule == "fixed":
         q = spec.q_value
         if q < 1:
@@ -245,6 +247,8 @@ def run_combine_experiment(spec: ExperimentSpec) -> tuple[list[dict], dict]:
 
 def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
     """Bijectivity/adjacency/Holder diagnostics per refinement level."""
+    if spec.level < 1:
+        raise ValueError(f"level must be positive, got {spec.level}")
     rows = []
     d = spec.dim
     for n in range(1, spec.level + 1):

@@ -7,8 +7,11 @@ Grid points of anisotropic tensor grids are ordered by embedding them
 into the isotropic lattice of the finest axis resolution and encoding
 the embedded coordinates.
 
-Keys may need up to 128 bits (e.g. dim=6 at fine levels), so they are
-plain Python integers throughout.
+Keys may need up to 128 bits (e.g. dim=6 at fine levels).  The scalar
+:func:`encode`/:func:`decode` pair works on plain Python integers; the
+array pair :func:`encode_many`/:func:`decode_many` runs the same
+algorithm on whole ``uint64`` arrays of points and holds each key as a
+(hi, lo) pair of ``uint64`` words.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_KEY_BITS = 128
+DIAGNOSTIC_CHUNK = 1 << 16  # keys per array pass of curve_diagnostics
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,110 @@ def decode(key: int, cfg: CurveConfig) -> tuple[int, ...]:
     return tuple(x)
 
 
+# The array pair below runs the same transpose algorithm (Skilling,
+# "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004) on whole
+# (dim, N) uint64 arrays, one point per column; the per-point branch on a
+# bit becomes np.where.  Key bit ``level * dim + dim - 1 - i`` holds bit
+# ``level`` of transposed word i, in ``lo`` below bit 64 and ``hi`` above.
+
+def _exchange(x: np.ndarray, q: int, order) -> None:
+    """One level q of the rotations, every column at once.
+
+    For i in ``order``: where bit q of x[i] is set invert the bits of x[0]
+    below q, elsewhere swap them with those of x[i].  No pass changes bit
+    q of any word, so both branch masks are read up front.
+    """
+    p = np.uint64(q - 1)
+    flip = np.where(x & np.uint64(q), p, np.uint64(0))
+    swap = flip ^ p
+    x0 = x[0]
+    for i in order:
+        if i:
+            t = (x0 ^ x[i]) & swap[i]
+            x0 ^= t
+            x[i] ^= t
+        x0 ^= flip[i]
+
+
+def _check_array_curve(dim: int, bits: int) -> None:
+    CurveConfig(dim, bits)
+    if bits > 64:
+        raise ValueError(f"uint64 coordinates hold at most 64 bits, got {bits}")
+
+
+def encode_many(coords, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hilbert keys of the columns of a (dim, N) coordinate array.
+
+    Returns the keys as uint64 words (hi, lo): the key of column k is
+    ``int(hi[k]) << 64 | int(lo[k])``, equal to
+    ``encode(coords[:, k], CurveConfig(dim, bits))``.
+    """
+    x = np.array(coords, dtype=np.uint64)  # a copy, transformed in place
+    if x.ndim != 2:
+        raise ValueError(f"expected a (dim, N) array, got shape {x.shape}")
+    dim = x.shape[0]
+    _check_array_curve(dim, bits)
+    if x.size and x.max() > np.uint64((1 << bits) - 1):
+        raise ValueError(f"coordinate outside [0, {1 << bits})")
+    if dim > 1:
+        q = 1 << (bits - 1)
+        while q > 1:
+            _exchange(x, q, range(dim))
+            q >>= 1
+        for i in range(1, dim):
+            x[i] ^= x[i - 1]
+        # XOR of q - 1 over the set bits q > 1 of x[dim - 1]: the inverse
+        # Gray code of x[dim - 1] >> 1
+        t = x[dim - 1] >> np.uint64(1)
+        shift = 1
+        while shift < bits:
+            t ^= t >> np.uint64(shift)
+            shift <<= 1
+        x ^= t
+    pos = dim * np.arange(bits)[:, None] + np.arange(dim - 1, -1, -1)
+    word = np.uint64(1) << (pos % 64).astype(np.uint64)
+    w_lo = np.where(pos < 64, word, np.uint64(0))  # (bits, dim) key weights
+    w_hi = np.where(pos < 64, np.uint64(0), word)
+    hi = np.zeros_like(x[0])
+    lo = np.zeros_like(x[0])
+    for level in range(bits):
+        bit = (x >> np.uint64(level)) & np.uint64(1)
+        lo += w_lo[level] @ bit
+        if dim * bits > 64:
+            hi += w_hi[level] @ bit
+    return hi, lo
+
+
+def decode_many(key, dim: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`encode_many`: the (dim, N) uint64 coordinates of
+    the keys given as uint64 words (hi, lo)."""
+    _check_array_curve(dim, bits)
+    hi, lo = (np.asarray(w, dtype=np.uint64) for w in key)
+    key_bits = dim * bits
+    if key_bits < 64:
+        out = hi.any() or (lo >> np.uint64(key_bits)).any()
+    else:
+        out = (hi >> np.uint64(key_bits - 64)).any()
+    if out:
+        raise ValueError(f"key outside [0, 2**{key_bits})")
+    x = np.zeros((dim, lo.size), dtype=np.uint64)
+    for level in range(bits):
+        for i in range(dim):
+            pos = level * dim + dim - 1 - i
+            word, shift = (lo, pos) if pos < 64 else (hi, pos - 64)
+            x[i] |= ((word >> np.uint64(shift)) & np.uint64(1)) << np.uint64(level)
+    if dim > 1:
+        t = x[dim - 1] >> np.uint64(1)
+        for i in range(dim - 1, 0, -1):
+            x[i] ^= x[i - 1]
+        x[0] ^= t
+        q = 2
+        while q != 1 << bits:
+            _exchange(x, q, range(dim - 1, -1, -1))
+            q <<= 1
+    return x
+
+
 def grid_point_key(multi_index, levels) -> int:
     """Hilbert key of an interior grid point of an anisotropic grid.
 
@@ -214,20 +322,22 @@ def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
 def curve_diagnostics(cfg: CurveConfig) -> dict:
     """Exhaustive bijectivity and unit-step adjacency check.
 
-    Walks every key of the lattice in order; intended for small
-    ``key_bits`` (the walk visits 2**key_bits cells).
+    Walks every key of the lattice in order, DIAGNOSTIC_CHUNK keys at a
+    time; intended for small ``key_bits`` (the walk visits 2**key_bits
+    cells).
     """
     total = 1 << cfg.key_bits
     bijective = True
     adjacent = True
-    prev = None
-    for key in range(total):
-        coords = decode(key, cfg)
-        if encode(coords, cfg) != key:
-            bijective = False
-        if prev is not None:
-            step = sum(abs(a - b) for a, b in zip(coords, prev))
-            if step != 1:
-                adjacent = False
-        prev = coords
+    prev = np.empty((cfg.dim, 0), dtype=np.int64)  # last cell of the chunk before
+    for start in range(0, total, DIAGNOSTIC_CHUNK):
+        lo = np.arange(start, min(start + DIAGNOSTIC_CHUNK, total),
+                       dtype=np.uint64)
+        key = (np.zeros_like(lo), lo)
+        coords = decode_many(key, cfg.dim, cfg.bits)
+        hi2, lo2 = encode_many(coords, cfg.bits)
+        bijective &= not hi2.any() and np.array_equal(lo2, lo)
+        walk = np.concatenate([prev, coords.astype(np.int64)], axis=1)
+        adjacent &= bool(np.all(np.abs(np.diff(walk, axis=1)).sum(axis=0) == 1))
+        prev = walk[:, -1:]
     return {"bijective": bijective, "adjacent": adjacent}

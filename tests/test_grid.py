@@ -1,9 +1,12 @@
 """Grid assembly, diagonal symmetrization, and the manufactured problem."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sfcdd import grid, linalg
+from sfcdd import grid, linalg, sfc
 
 
 def dense_laplacian_oracle(levels):
@@ -24,6 +27,38 @@ def dense_laplacian_oracle(levels):
                     A[flat, flat + step * strides[j]] -= w
     perm = grid.sfc_permutation(tuple(levels))
     return A[np.ix_(perm, perm)]
+
+
+def scalar_key_permutation(levels):
+    """SFC order as a sort of the points by their scalar Hilbert keys."""
+    shape = grid.interior_shape(levels)
+    keys = [sfc.grid_point_key(tuple(i + 1 for i in idx), levels)
+            for idx in product(*(range(s) for s in shape))]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def kron_laplacian_reference(levels):
+    """Kronecker sum of 1-d stencils in lexicographic order, then permuted."""
+    shape = grid.interior_shape(levels)
+    A = None
+    for j, (s, l) in enumerate(zip(shape, levels)):
+        w = float(4**l)
+        T = sp.diags(
+            [-w * np.ones(s - 1), 2.0 * w * np.ones(s), -w * np.ones(s - 1)],
+            offsets=[-1, 0, 1], format="csr",
+        )
+        left = int(np.prod(shape[:j], dtype=np.int64))
+        right = int(np.prod(shape[j + 1:], dtype=np.int64))
+        term = sp.kron(sp.kron(sp.eye(left), T), sp.eye(right), format="csr")
+        A = term if A is None else A + term
+    perm = grid.sfc_permutation(tuple(levels))
+    A = sp.csr_matrix(A)[perm][:, perm].tocsr()
+    A.sort_indices()
+    return A
+
+
+ANISOTROPIC = [(5, 3), (2, 7, 1), (1, 4, 2, 1), (3, 3, 3, 3, 3, 2),
+               (11, 1, 1, 1, 1, 1), (12, 2, 1, 1, 1, 1)]
 
 
 class TestNumDofs:
@@ -73,6 +108,15 @@ class TestAssembly:
         ones = np.ones(A.shape[0])
         assert np.all(A @ ones >= -1e-9)
 
+    @pytest.mark.parametrize("levels", [(1,), (6,), (1, 1), (3, 3), (4, 4, 4, 4),
+                                        *ANISOTROPIC])
+    def test_matches_kron_reference_bitwise(self, levels):
+        A = grid.assemble_laplacian(levels)
+        ref = kron_laplacian_reference(levels)
+        assert isinstance(A, sp.csr_matrix)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, attr), getattr(ref, attr)), attr
+
     @pytest.mark.parametrize("levels", [(4,), (3, 3), (2, 2, 2)])
     def test_positive_definite(self, levels):
         A = grid.assemble_laplacian(levels)
@@ -83,6 +127,11 @@ class TestSfcOrdering:
     def test_permutation_is_a_permutation(self):
         perm = grid.sfc_permutation((3, 2))
         assert sorted(perm) == list(range(21))
+
+    @pytest.mark.parametrize("levels", [(2, 2), (3, 1, 2), *ANISOTROPIC])
+    def test_matches_sort_by_scalar_keys(self, levels):
+        np.testing.assert_array_equal(grid.sfc_permutation(levels),
+                                      scalar_key_permutation(levels))
 
     def test_1d_order_is_natural(self):
         np.testing.assert_array_equal(grid.sfc_permutation((5,)), np.arange(31))
@@ -111,7 +160,6 @@ class TestSfcOrdering:
 
 class TestSymmetrizeDiag:
     def test_identity_unchanged(self):
-        import scipy.sparse as sp
         A = sp.eye(5, format="csr")
         Ah, bh, t = grid.symmetrize_diag(A, np.arange(5.0))
         np.testing.assert_allclose(Ah.toarray(), np.eye(5))
@@ -141,9 +189,14 @@ class TestSymmetrizeDiag:
         np.testing.assert_allclose(x_scaled, x_direct, rtol=1e-10)
 
     def test_rejects_nonpositive_diagonal(self):
-        import scipy.sparse as sp
         A = sp.diags([1.0, -2.0, 3.0]).tocsr()
         with pytest.raises(ValueError):
+            grid.symmetrize_diag(A, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_rejects_nonfinite_or_zero_diagonal(self, bad):
+        A = sp.diags([1.0, bad, 3.0]).tocsr()
+        with pytest.raises(ValueError, match="diagonal"):
             grid.symmetrize_diag(A, np.zeros(3))
 
 

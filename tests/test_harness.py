@@ -156,6 +156,11 @@ class TestQRule:
     def test_auto(self):
         assert harness.resolve_q(small_spec(q_rule="auto"), 2**12, 2**4) == 16
 
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_rejects_nonpositive_p(self, p):
+        with pytest.raises(ValueError, match="P must be positive"):
+            harness.resolve_q(small_spec(), 100, p)
+
 
 class TestPlateau:
     def test_spread_over_plateau_region(self):
@@ -294,6 +299,22 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "jobs" in payload["error"]
+
+    def test_nonpositive_p_fails_fast(self, tmp_path, capsys):
+        code = harness.main([
+            "solve", "--dim", "2", "--level", "3", "--p", "0",
+            "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "P must be positive" in payload["error"]
+
+    def test_sfc_check_level_zero_fails_fast(self, tmp_path, capsys):
+        code = harness.main([
+            "sfc-check", "--dim", "2", "--level", "0", "--out", str(tmp_path)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "level must be positive" in payload["error"]
+        assert not (tmp_path / "sfc_check.csv").exists()
 
     def test_combine_solver_alias(self, tmp_path):
         code = harness.run_command([

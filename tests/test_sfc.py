@@ -106,6 +106,114 @@ def test_decode_examples():
     assert sfc.decode(7, sfc.CurveConfig(1, 4)) == (7,)
 
 
+def as_key(hi, lo, k):
+    return (int(hi[k]) << 64) | int(lo[k])
+
+
+def random_coords(rng, dim, bits, count):
+    """(dim, count) uint64 coordinates in [0, 2**bits), corners included."""
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=(dim, count),
+                         dtype=np.uint64, endpoint=True)
+    coords = words >> np.uint64(64 - bits)
+    coords[:, 0] = 0
+    coords[:, 1] = (1 << bits) - 1
+    return coords
+
+
+class TestEncodeMany:
+    # key widths up to 128 bits; (6, 11), (10, 7) and (6, 12) are the
+    # 66-, 70- and 72-bit curves of the grids (11,1,1,1,1,1),
+    # (7,3,3,3,1,1,1,1,1,1) and (12,2,1,1,1,1)
+    CURVES = [(1, 9), (1, 64), (2, 5), (2, 32), (2, 64), (3, 4), (3, 21),
+              (3, 42), (4, 3), (4, 16), (4, 32), (5, 3), (5, 13), (5, 25),
+              (6, 3), (6, 10), (6, 11), (6, 12), (6, 21), (10, 7)]
+
+    @pytest.mark.parametrize("dim,bits", CURVES)
+    def test_matches_scalar_encode(self, dim, bits):
+        cfg = sfc.CurveConfig(dim, bits)
+        coords = random_coords(np.random.default_rng(dim * 100 + bits),
+                               dim, bits, 300)
+        hi, lo = sfc.encode_many(coords, bits)
+        for k in range(coords.shape[1]):
+            expected = sfc.encode([int(c) for c in coords[:, k]], cfg)
+            assert as_key(hi, lo, k) == expected
+
+    @pytest.mark.parametrize("dim,bits", CURVES)
+    def test_decode_many_inverts_and_matches_scalar_decode(self, dim, bits):
+        cfg = sfc.CurveConfig(dim, bits)
+        coords = random_coords(np.random.default_rng(dim * 100 + bits + 1),
+                               dim, bits, 300)
+        key = sfc.encode_many(coords, bits)
+        back = sfc.decode_many(key, dim, bits)
+        assert back.dtype == np.uint64
+        np.testing.assert_array_equal(back, coords)
+        rng = np.random.default_rng(bits)
+        keys = [sfc.random_key(rng, cfg.key_bits) for _ in range(300)]
+        hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
+        lo = np.array([k & ((1 << 64) - 1) for k in keys], dtype=np.uint64)
+        cells = sfc.decode_many((hi, lo), dim, bits)
+        for k, key_k in enumerate(keys):
+            assert tuple(int(c) for c in cells[:, k]) == sfc.decode(key_k, cfg)
+        hi2, lo2 = sfc.encode_many(cells, bits)
+        np.testing.assert_array_equal(hi2, hi)
+        np.testing.assert_array_equal(lo2, lo)
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_one_bit_curves_walk_the_cube(self, dim):
+        cfg = sfc.CurveConfig(dim, 1)
+        coords = np.indices((2,) * dim, dtype=np.uint64).reshape(dim, -1)
+        hi, lo = sfc.encode_many(coords, 1)
+        assert not hi.any()
+        for k in range(coords.shape[1]):
+            assert int(lo[k]) == sfc.encode([int(c) for c in coords[:, k]], cfg)
+        assert sorted(lo.tolist()) == list(range(1 << dim))
+        lo_keys = np.arange(1 << dim, dtype=np.uint64)
+        walk = sfc.decode_many((np.zeros_like(lo_keys), lo_keys), dim, 1)
+        assert [tuple(int(c) for c in walk[:, k]) for k in range(1 << dim)] \
+            == brute_force_curve(cfg)
+
+    def test_empty_input(self):
+        hi, lo = sfc.encode_many(np.zeros((3, 0), dtype=np.uint64), 4)
+        assert hi.shape == lo.shape == (0,)
+        assert sfc.decode_many((hi, lo), 3, 4).shape == (3, 0)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sfc.encode_many(np.array([[4], [0]], dtype=np.uint64), 2)
+        with pytest.raises(ValueError):
+            sfc.encode_many(np.zeros(3, dtype=np.uint64), 2)  # not (dim, N)
+        with pytest.raises(ValueError):
+            sfc.encode_many(np.zeros((7, 1), dtype=np.uint64), 19)  # 133 bits
+        with pytest.raises(ValueError):
+            sfc.decode_many(([0], [16]), 2, 2)
+        with pytest.raises(ValueError):
+            sfc.decode_many(([1 << 2], [0]), 6, 11)  # 66-bit key width
+
+
+class TestCurveDiagnostics:
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2), (4, 2)])
+    def test_chunked_walk_checks_every_step(self, monkeypatch, d, n):
+        monkeypatch.setattr(sfc, "DIAGNOSTIC_CHUNK", 8)
+        assert sfc.curve_diagnostics(sfc.CurveConfig(d, n)) == {
+            "bijective": True, "adjacent": True}
+
+    def test_walk_over_several_default_chunks(self):
+        cfg = sfc.CurveConfig(2, 9)  # 2**18 keys, four chunks
+        assert 1 << cfg.key_bits > 2 * sfc.DIAGNOSTIC_CHUNK
+        assert sfc.curve_diagnostics(cfg) == {
+            "bijective": True, "adjacent": True}
+
+    def test_detects_a_broken_step_across_a_chunk_boundary(self, monkeypatch):
+        # every chunk walked backwards: unit steps inside each chunk, the
+        # only broken ones are where two chunks meet
+        decode_many = sfc.decode_many
+        monkeypatch.setattr(sfc, "DIAGNOSTIC_CHUNK", 8)
+        monkeypatch.setattr(sfc, "decode_many",
+                            lambda key, dim, bits: decode_many(key, dim, bits)[:, ::-1])
+        diag = sfc.curve_diagnostics(sfc.CurveConfig(2, 3))
+        assert diag == {"bijective": False, "adjacent": False}
+
+
 class TestGridPointKey:
     def test_isotropic_matches_plain_encode(self):
         levels = (3, 3)
