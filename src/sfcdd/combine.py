@@ -6,15 +6,14 @@ summing the multilinear interpolants with inclusion-exclusion
 coefficients (-1)**i * binom(d-1, i).  Each subproblem gets
 P = P_hat * 2**(d-1-i) subdomains so the load per subdomain is roughly
 independent of the layer; infeasible P/gamma/q on tiny grids are clamped
-and every clamp is recorded.
+and every clamp is recorded.  The subproblems are solved one after the
+other, in plan order, on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -152,7 +151,6 @@ def multilinear_interpolate(levels, values_lex: np.ndarray,
 
 @dataclass
 class CombinationResult:
-    plan: CombinationPlan
     evaluator: CombinedSolution
     partials: list[PartialSolution]
     clamps: list[str] = field(default_factory=list)
@@ -160,7 +158,6 @@ class CombinationResult:
 
 def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
                      weighting="omega", method="pcg", tolerance=1e-8,
-                     q_rule: Callable[[int, int], int] = default_q_rule,
                      seed: int = 42, max_iters: int = 20000):
     """Solve one anisotropic subproblem; returns (PartialSolution, clamp notes)."""
     problem = grid.manufactured_poisson(levels)
@@ -174,7 +171,7 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
         if g != 0:
             clamps.append(f"levels={levels}: gamma clamped {g} -> 0 (P={p})")
         g = 0.0
-    q = q_rule(n, p)
+    q = default_q_rule(n, p)
     A = grid.assemble_laplacian(levels)
     b = grid.sample_on_grid(problem.rhs, levels)
     A_hat, b_hat, t = grid.symmetrize_diag(A, b)
@@ -198,53 +195,35 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
 
 def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
                     weighting="omega", method="pcg", tolerance=1e-8,
-                    q_rule: Callable[[int, int], int] = default_q_rule,
-                    seed: int = 42, jobs: int = 1,
-                    max_iters: int = 20000) -> CombinationResult:
+                    seed: int = 42, max_iters: int = 20000) -> CombinationResult:
     """Solve every subproblem of the plan and build the combined evaluator.
 
-    Subproblems are independent and may run concurrently (``jobs``);
-    results are reduced in plan order, so the outcome does not depend on
-    scheduling.
+    The subproblems are solved serially in plan order.  A failed solve
+    does not stop the loop: every failure is collected and one
+    :class:`CombinationError` names the failed level vectors in plan order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
-    terms = list(plan.terms())
-
-    def attempt(term):
-        _, _, p_target, levels = term
+    partials = []
+    clamps = []
+    eval_terms = []
+    failures = []
+    for _, coeff, p_target, levels in plan.terms():
         try:
             partial, notes = solve_subproblem(
                 levels, p_target, gamma=gamma, variant=variant,
                 weighting=weighting, method=method, tolerance=tolerance,
-                q_rule=q_rule, seed=seed, max_iters=max_iters)
+                seed=seed, max_iters=max_iters)
         except Exception as exc:  # noqa: BLE001 - aggregated below
-            return None, exc
+            failures.append(f"{levels}: {exc}")
+            continue
         # reorder while the subproblem's SFC permutation is still cached;
         # after the whole plan it has been evicted on plans of > 128 grids
         values_lex = grid.scatter_to_lex(levels, partial.values)
-        return (partial, notes, values_lex), None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(attempt, terms))
-    else:  # on the calling thread, where perfbench keeps its span stack
-        results = list(map(attempt, terms))
-    failures = [(term[3], exc) for term, (_, exc) in zip(terms, results)
-                if exc is not None]
-    if failures:
-        details = "; ".join(f"{lv}: {exc}" for lv, exc in failures)
-        raise CombinationError(f"failed subproblems: {details}")
-
-    partials = []
-    clamps = []
-    eval_terms = []
-    for (_, coeff, _, levels), ((partial, notes, values_lex), _) in zip(
-            terms, results):
         partials.append(partial)
         clamps.extend(notes)
         eval_terms.append((coeff, levels, values_lex))
-    return CombinationResult(plan, CombinedSolution(eval_terms), partials, clamps)
+    if failures:
+        raise CombinationError(f"failed subproblems: {'; '.join(failures)}")
+    return CombinationResult(CombinedSolution(eval_terms), partials, clamps)
 
 
 def sampled_error(evaluator, exact, d: int, level: int, sample_count: int,

@@ -54,14 +54,17 @@ class ExperimentSpec:
     tolerance: float = 1e-8
     max_iters: int = 20000
     seed: int = 42
-    jobs: int = 1  # concurrent combination subproblems
     out: str = "results"
     sample_count: int = 2000
 
 
-def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
+def _check_p(p: int) -> None:
     if p < 1:
         raise ValueError(f"P must be positive, got {p}")
+
+
+def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
+    _check_p(p)
     if spec.q_rule == "fixed":
         q = spec.q_value
         if q < 1:
@@ -166,6 +169,8 @@ def _scaling_row(spec: ExperimentSpec, levels, p: int, gamma: float,
 
 def _weak_rows(spec: ExperimentSpec, dims, gammas) -> list[dict]:
     """Weak-type rows over (d, gamma, P), 2**S unknowns per subdomain."""
+    for p in spec.p_values:
+        _check_p(p)
     rows = []
     for d in dims:
         sub = replace(spec, dim=d)
@@ -185,6 +190,8 @@ def run_strong_scaling(spec: ExperimentSpec) -> list[dict]:
     """Fixed total size N = 2**L - 1 (d=1), growing P."""
     if spec.dim != 1:
         raise ValueError("strong scaling study is defined for d=1")
+    for p in spec.p_values:
+        _check_p(p)
     rows = []
     for p in spec.p_values:
         rows.append(_scaling_row(
@@ -219,7 +226,7 @@ def run_combine_experiment(spec: ExperimentSpec) -> tuple[list[dict], dict]:
     result = combine.run_combination(
         plan, gamma=spec.gamma, variant=spec.variant, weighting=spec.weighting,
         method=spec.method, tolerance=spec.tolerance, seed=spec.seed,
-        jobs=spec.jobs,
+        max_iters=spec.max_iters,
     )
     rows = []
     for (i, coeff, _, levels), partial in zip(plan.terms(), result.partials):
@@ -259,8 +266,8 @@ def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
             rng = np.random.default_rng(spec.seed)
             ok_bij = ok_adj = True
             last = (1 << cfg.key_bits) - 1  # key + 1 must stay on the curve
-            for _ in range(1000):
-                key = sfc.random_key(rng, cfg.key_bits) % last
+            for key in sfc.random_keys(rng, cfg.key_bits, 1000):
+                key %= last
                 c = sfc.decode(key, cfg)
                 ok_bij &= sfc.encode(c, cfg) == key
                 c2 = sfc.decode(key + 1, cfg)
@@ -361,20 +368,47 @@ def build_spec(kind: str, config: dict | None, cli: dict) -> ExperimentSpec:
     return ExperimentSpec(**merged)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--method", choices=("richardson", "pcg", "fcg"),
-                        default=None)
-    parser.add_argument("--variant", choices=schwarz.VARIANTS, default=None)
-    parser.add_argument("--weighting", choices=schwarz.WEIGHTINGS, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--q-rule", dest="q_rule",
-                        choices=("fixed", "srel4", "auto"), default=None)
-    parser.add_argument("--q", dest="q_value", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+_METHODS = ("richardson", "pcg", "fcg")
+
+# argparse keywords of every flag, keyed by the flag's name
+_FLAGS = {
+    "seed": dict(type=int),
+    "out": dict(),
+    "config": dict(),
+    "dim": dict(type=int),
+    "method": dict(choices=_METHODS),
+    "solver": dict(dest="method", choices=_METHODS),
+    "variant": dict(choices=schwarz.VARIANTS),
+    "weighting": dict(choices=schwarz.WEIGHTINGS),
+    "gamma": dict(type=float),
+    "q-rule": dict(dest="q_rule", choices=("fixed", "srel4", "auto")),
+    "q": dict(dest="q_value", type=int),
+    "tolerance": dict(type=float),
+    "max-iters": dict(dest="max_iters", type=int),
+    "levels": dict(),
+    "level": dict(type=int),
+    "p": dict(type=int),
+    "s": dict(type=int),
+    "p-values": dict(dest="p_values"),
+    "gammas": dict(dest="gamma_values"),
+    "dims": dict(),
+    "phat": dict(dest="p_hat", type=int),
+    "samples": dict(dest="sample_count", type=int),
+}
+_SOLVER_FLAGS = ("method", "variant", "weighting", "gamma", "q-rule", "q",
+                 "tolerance", "max-iters")
+# each command takes exactly the flags its driver reads
+_COMMAND_FLAGS = {
+    "solve": ("dim", *_SOLVER_FLAGS, "levels", "level", "p"),
+    "weak-scale": ("dim", *_SOLVER_FLAGS, "s", "p-values"),
+    "strong-scale": ("dim", *_SOLVER_FLAGS, "level", "p-values"),
+    "gamma-sweep": ("dim", "method", "variant", "weighting", "q-rule", "q",
+                    "tolerance", "max-iters", "s", "p-values", "gammas"),
+    "dim-sweep": (*_SOLVER_FLAGS, "dims", "s", "p-values"),
+    "combine": ("dim", "method", "solver", "variant", "weighting", "gamma",
+                "tolerance", "max-iters", "level", "phat", "samples"),
+    "sfc-check": ("dim", "level", "samples"),
+}
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -382,46 +416,12 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="sfcdd",
         description="Space-filling-curve Schwarz solver experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--dim", type=int, default=None)
-        return p
-
-    p = cmd("solve")
-    p.add_argument("--levels", type=str, default=None)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-
-    for name in ("weak-scale", "gamma-sweep"):
-        p = cmd(name)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--p-values", dest="p_values", type=str, default=None)
-        if name == "gamma-sweep":
-            p.add_argument("--gammas", dest="gamma_values", type=str,
-                           default=None)
-
-    p = cmd("strong-scale")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--p-values", dest="p_values", type=str, default=None)
-
-    p = cmd("dim-sweep")
-    p.add_argument("--dims", type=str, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--p-values", dest="p_values", type=str, default=None)
-
-    p = cmd("combine")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--phat", dest="p_hat", type=int, default=None)
-    p.add_argument("--samples", dest="sample_count", type=int, default=None)
-    p.add_argument("--solver", dest="method", default=None,
-                   choices=("richardson", "pcg", "fcg"))
-
-    p = cmd("sfc-check")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--samples", dest="sample_count", type=int, default=None)
+    for command, names in _COMMAND_FLAGS.items():
+        # no abbreviations: --gamma and --dim must not stand for --gammas
+        # and --dims on the commands that do not take them
+        p = sub.add_parser(command, allow_abbrev=False)
+        for name in ("seed", "out", "config", *names):
+            p.add_argument("--" + name, default=None, **_FLAGS[name])
     return parser
 
 

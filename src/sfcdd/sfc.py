@@ -23,6 +23,7 @@ import numpy as np
 
 MAX_KEY_BITS = 128
 DIAGNOSTIC_CHUNK = 1 << 16  # keys per array pass of curve_diagnostics
+_LOW_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -282,10 +283,21 @@ def holder_bound(dim: int) -> float:
     return 2.0 * math.sqrt(dim + 3)
 
 
-def random_key(rng: np.random.Generator, key_bits: int) -> int:
-    """Uniform key in [0, 2**key_bits) from raw bytes; works beyond 64 bits."""
+def random_keys(rng: np.random.Generator, key_bits: int,
+                count: int) -> list[int]:
+    """``count`` uniform keys in [0, 2**key_bits); works beyond 64 bits.
+
+    Key k is the little-endian integer of the first ceil(key_bits / 8)
+    bytes of row k of one uint32 draw, masked to ``key_bits``.  That is
+    the byte stream of ``count`` calls of ``rng.bytes(nbytes)``.
+    """
     nbytes = (key_bits + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << key_bits) - 1)
+    rows = rng.integers(0, 1 << 32, size=(count, (nbytes + 3) // 4),
+                        dtype=np.uint32)
+    raw = rows.astype("<u4").tobytes()
+    mask = (1 << key_bits) - 1
+    return [int.from_bytes(raw[i:i + nbytes], "little") & mask
+            for i in range(0, len(raw), 4 * rows.shape[1])]
 
 
 def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
@@ -299,18 +311,20 @@ def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
     if samples < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
-    key_bits = cfg.key_bits
+    keys = random_keys(rng, cfg.key_bits, 2 * samples)  # pairs (k1, k2)
+    if cfg.dim == 1:  # the curve is the identity
+        points = [(k,) for k in keys]
+    else:
+        words = (np.array([k >> 64 for k in keys], dtype=np.uint64),
+                 np.array([k & _LOW_WORD for k in keys], dtype=np.uint64))
+        points = decode_many(words, cfg.dim, cfg.bits).T.tolist()
     inv_side = 1.0 / cfg.side
-    inv_total = math.ldexp(1.0, -key_bits)
+    inv_total = math.ldexp(1.0, -cfg.key_bits)
     exponent = 1.0 / cfg.dim
     worst = 0.0
-    for _ in range(samples):
-        k1 = random_key(rng, key_bits)
-        k2 = random_key(rng, key_bits)
+    for k1, k2, p1, p2 in zip(keys[::2], keys[1::2], points[::2], points[1::2]):
         if k1 == k2:
             continue
-        p1 = decode(k1, cfg)
-        p2 = decode(k2, cfg)
         dist = math.sqrt(
             sum((a - b) * (a - b) for a, b in zip(p1, p2))
         ) * inv_side

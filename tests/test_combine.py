@@ -166,14 +166,11 @@ class TestRunCombination:
 
     def test_solver_failures_aggregated_with_level_vectors(self):
         plan = combine.enumerate_plan(2, 4)
-        # serial and threaded runs share one failure-collecting path
-        for jobs in (1, 2):
-            with pytest.raises(combine.CombinationError) as err:
-                # zero iterations cannot converge; every subproblem must fail
-                # and the aggregate error names the offending level vectors
-                combine.run_combination(plan, seed=7, max_iters=0,
-                                        method="pcg", jobs=jobs)
-            assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
+        with pytest.raises(combine.CombinationError) as err:
+            # zero iterations cannot converge; every subproblem must fail
+            # and the aggregate error names the offending level vectors
+            combine.run_combination(plan, seed=7, max_iters=0, method="pcg")
+        assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
 
     def test_each_level_vector_is_ordered_once(self):
         plan = combine.enumerate_plan(5, 6)
@@ -184,14 +181,6 @@ class TestRunCombination:
         grid.sfc_permutation.cache_clear()
         combine.run_combination(plan, seed=7)
         assert grid.sfc_permutation.cache_info().misses == len(terms)
-
-    def test_jobs_parallel_matches_serial(self):
-        plan = combine.enumerate_plan(2, 4)
-        serial = combine.run_combination(plan, seed=7, jobs=1)
-        threaded = combine.run_combination(plan, seed=7, jobs=4)
-        pts = np.random.default_rng(2).uniform(0.1, 0.9, size=(50, 2))
-        np.testing.assert_array_equal(serial.evaluator(pts),
-                                      threaded.evaluator(pts))
 
 
 class TestSampledError:

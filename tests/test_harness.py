@@ -34,6 +34,13 @@ class TestWeakScaling:
         rows = harness.run_weak_scaling(small_spec(p_values=(3,)))
         assert rows[0]["skipped"] == 1 and "level" in rows[0]["reason"]
 
+    def test_nonpositive_p_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a row was solved")
+        monkeypatch.setattr(harness, "run_model_solve", no_solve)
+        with pytest.raises(ValueError, match="P must be positive"):
+            harness.run_weak_scaling(small_spec(p_values=(2, 4, 0)))
+
     def test_infeasible_dim6_small_p_skipped(self):
         rows = harness.run_weak_scaling(small_spec(dim=6, s=8, p_values=(2,)))
         assert rows[0]["skipped"] == 1 and "exceeds" in rows[0]["reason"]
@@ -292,13 +299,50 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip())
         assert "q must be positive" in payload["error"]
 
-    def test_nonpositive_jobs_fails_fast(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sfc-check", "--method", "pcg"),
+        ("sfc-check", "--variant", "balanced"),
+        ("sfc-check", "--weighting", "omega"),
+        ("sfc-check", "--gamma", "0.5"),
+        ("sfc-check", "--q-rule", "fixed"),
+        ("sfc-check", "--q", "7"),
+        ("sfc-check", "--tolerance", "1e-6"),
+        ("sfc-check", "--max-iters", "1"),
+        ("combine", "--q-rule", "fixed"),
+        ("combine", "--q", "7"),
+        ("combine", "--jobs", "2"),
+        ("gamma-sweep", "--gamma", "0.5"),
+        ("dim-sweep", "--dim", "2"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            harness.main([command, flag, value, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_combine_max_iters_reaches_the_solves(self, tmp_path, capsys):
         code = harness.main([
-            "combine", "--dim", "2", "--level", "3", "--jobs", "-3",
+            "combine", "--dim", "2", "--level", "4", "--max-iters", "0",
             "--samples", "10", "--out", str(tmp_path)])
         assert code == 1
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error.startswith("CombinationError: failed subproblems: ")
+        assert "(1, 4)" in error and "(4, 1)" in error
+        assert not (tmp_path / "combine.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["weak-scale", "--dim", "1", "--s", "3"],
+        ["strong-scale", "--dim", "1", "--level", "5"],
+        ["gamma-sweep", "--dim", "1", "--s", "3", "--gammas", "0,0.5"],
+        ["dim-sweep", "--dims", "1,2", "--s", "3"],
+    ])
+    def test_sweep_nonpositive_p_fails_fast(self, tmp_path, capsys, argv):
+        code = harness.main(argv + ["--p-values", "4,0", "--out", str(tmp_path)])
+        assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
-        assert "jobs" in payload["error"]
+        assert "P must be positive" in payload["error"]
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_nonpositive_p_fails_fast(self, tmp_path, capsys):
         code = harness.main([

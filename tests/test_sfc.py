@@ -148,7 +148,7 @@ class TestEncodeMany:
         assert back.dtype == np.uint64
         np.testing.assert_array_equal(back, coords)
         rng = np.random.default_rng(bits)
-        keys = [sfc.random_key(rng, cfg.key_bits) for _ in range(300)]
+        keys = sfc.random_keys(rng, cfg.key_bits, 300)
         hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
         lo = np.array([k & ((1 << 64) - 1) for k in keys], dtype=np.uint64)
         cells = sfc.decode_many((hi, lo), dim, bits)
@@ -260,7 +260,65 @@ class TestGridPointKey:
             sfc.grid_point_key((4, 1), (2, 2))
 
 
+def random_key_reference(rng, key_bits):
+    """The per-key draw that random_keys replaced: one rng.bytes per key."""
+    nbytes = (key_bits + 7) // 8
+    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << key_bits) - 1)
+
+
+def holder_estimate_reference(cfg, samples, seed=0):
+    """The loop that holder_estimate replaced: one scalar decode pair per
+    sample, drawn key by key."""
+    rng = np.random.default_rng(seed)
+    inv_side = 1.0 / cfg.side
+    inv_total = math.ldexp(1.0, -cfg.key_bits)
+    exponent = 1.0 / cfg.dim
+    worst = 0.0
+    for _ in range(samples):
+        k1 = random_key_reference(rng, cfg.key_bits)
+        k2 = random_key_reference(rng, cfg.key_bits)
+        if k1 == k2:
+            continue
+        p1 = sfc.decode(k1, cfg)
+        p2 = sfc.decode(k2, cfg)
+        dist = math.sqrt(
+            sum((a - b) * (a - b) for a, b in zip(p1, p2))
+        ) * inv_side
+        param = abs(k1 - k2) * inv_total
+        worst = max(worst, dist / param**exponent)
+    return worst
+
+
+class TestRandomKeys:
+    @pytest.mark.parametrize("key_bits", [1, 2, 7, 8, 9, 24, 31, 32, 33, 40,
+                                          63, 64, 65, 66, 70, 96, 127, 128])
+    def test_same_stream_as_per_key_draws(self, key_bits):
+        rng = np.random.default_rng(key_bits)
+        ref = np.random.default_rng(key_bits)
+        for count in (1, 2, 5, 0, 1000):  # odd counts leave half a 64-bit draw
+            keys = sfc.random_keys(rng, key_bits, count)
+            assert keys == [random_key_reference(ref, key_bits)
+                            for _ in range(count)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+        assert all(0 <= k < 1 << key_bits for k in keys)
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+
 class TestHolder:
+    # criterion 3's curves, the curves sfc-check walks at --dim 3, 6 and
+    # 22, and keys of up to 128 bits; d=1 keys of 70 bits are never decoded
+    CURVES = ([(d, 4) for d in range(2, 7)]
+              + [(3, n) for n in range(1, 6)] + [(6, n) for n in range(1, 12)]
+              + [(22, n) for n in range(1, 4)]
+              + [(1, 8), (2, 6), (3, 4), (1, 70), (2, 64), (4, 32), (2, 40)])
+
+    @pytest.mark.parametrize("dim,bits", CURVES)
+    def test_matches_scalar_reference_bitwise(self, dim, bits):
+        cfg = sfc.CurveConfig(dim, bits)
+        for samples, seed in ((2, 0), (3, dim), (2000, dim * 100 + bits)):
+            assert (sfc.holder_estimate(cfg, samples, seed=seed)
+                    == holder_estimate_reference(cfg, samples, seed=seed))
+
     def test_d1_estimate_is_one(self):
         est = sfc.holder_estimate(sfc.CurveConfig(1, 8), 500, seed=0)
         assert est <= 1.0 + 1e-12
