@@ -57,18 +57,25 @@ class ExperimentSpec:
     out: str = "results"
     sample_count: int = 2000
 
-
-def _check_p(p: int) -> None:
-    if p < 1:
-        raise ValueError(f"P must be positive, got {p}")
+    def __post_init__(self) -> None:
+        positive = {"P": (self.p, *self.p_values), "q": (self.q_value,),
+                    "level": (self.level,), "dimension": (self.dim, *self.dims),
+                    "samples": (self.sample_count,)}
+        for name, values in positive.items():
+            for v in values:
+                if v < 1:
+                    raise ValueError(f"{name} must be positive, got {v}")
+        for g in (self.gamma, *self.gamma_values):
+            if not (math.isfinite(g) and g >= 0):
+                raise ValueError(
+                    f"gamma must be finite and nonnegative, got {g}")
 
 
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
-    _check_p(p)
+    if p < 1:
+        raise ValueError(f"P must be positive, got {p}")
     if spec.q_rule == "fixed":
         q = spec.q_value
-        if q < 1:
-            raise ValueError(f"q must be positive, got {q}")
     elif spec.q_rule == "srel4":
         q = 2 ** max(0, spec.s - 4)
     elif spec.q_rule == "auto":
@@ -169,8 +176,6 @@ def _scaling_row(spec: ExperimentSpec, levels, p: int, gamma: float,
 
 def _weak_rows(spec: ExperimentSpec, dims, gammas) -> list[dict]:
     """Weak-type rows over (d, gamma, P), 2**S unknowns per subdomain."""
-    for p in spec.p_values:
-        _check_p(p)
     rows = []
     for d in dims:
         sub = replace(spec, dim=d)
@@ -190,8 +195,6 @@ def run_strong_scaling(spec: ExperimentSpec) -> list[dict]:
     """Fixed total size N = 2**L - 1 (d=1), growing P."""
     if spec.dim != 1:
         raise ValueError("strong scaling study is defined for d=1")
-    for p in spec.p_values:
-        _check_p(p)
     rows = []
     for p in spec.p_values:
         rows.append(_scaling_row(
@@ -216,8 +219,8 @@ def run_single(spec: ExperimentSpec) -> tuple[krylov.SolveReport, dict]:
         variant=spec.variant, weighting=spec.weighting,
         tolerance=spec.tolerance, seed=spec.seed, max_iters=spec.max_iters,
     )
-    row = _row(spec, levels="x".join(str(l) for l in levels), P=spec.p,
-               gamma=spec.gamma, q=q, N=n)
+    row = _row(spec, d=len(levels), levels="x".join(str(l) for l in levels),
+               P=spec.p, gamma=spec.gamma, q=q, N=n)
     return report, _fill_report(row, report)
 
 
@@ -254,8 +257,6 @@ def run_combine_experiment(spec: ExperimentSpec) -> tuple[list[dict], dict]:
 
 def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
     """Bijectivity/adjacency/Holder diagnostics per refinement level."""
-    if spec.level < 1:
-        raise ValueError(f"level must be positive, got {spec.level}")
     rows = []
     d = spec.dim
     for n in range(1, spec.level + 1):
@@ -327,47 +328,6 @@ def _parse_values(text: str):
     return tuple(out)
 
 
-def load_config_file(path) -> dict:
-    """key = value lines; '#' starts a comment."""
-    out = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = value
-    return out
-
-
-_SPEC_FIELDS = {f.name for f in ExperimentSpec.__dataclass_fields__.values()}
-
-
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        if key in ("p_values", "gamma_values", "dims", "levels"):
-            return _parse_values(value)
-        for cast in (int, float):
-            try:
-                return cast(value)
-            except ValueError:
-                continue
-    return value
-
-
-def build_spec(kind: str, config: dict | None, cli: dict) -> ExperimentSpec:
-    merged: dict = {"kind": kind}
-    for source in (config or {}), cli:
-        for key, value in source.items():
-            if value is None:
-                continue
-            if key not in _SPEC_FIELDS:
-                raise ValueError(f"unknown parameter {key!r}")
-            merged[key] = _coerce(key, value)
-    return ExperimentSpec(**merged)
-
-
 _METHODS = ("richardson", "pcg", "fcg")
 
 # argparse keywords of every flag, keyed by the flag's name
@@ -385,13 +345,13 @@ _FLAGS = {
     "q": dict(dest="q_value", type=int),
     "tolerance": dict(type=float),
     "max-iters": dict(dest="max_iters", type=int),
-    "levels": dict(),
+    "levels": dict(type=_parse_values),
     "level": dict(type=int),
     "p": dict(type=int),
     "s": dict(type=int),
-    "p-values": dict(dest="p_values"),
-    "gammas": dict(dest="gamma_values"),
-    "dims": dict(),
+    "p-values": dict(dest="p_values", type=_parse_values),
+    "gammas": dict(dest="gamma_values", type=_parse_values),
+    "dims": dict(type=_parse_values),
     "phat": dict(dest="p_hat", type=int),
     "samples": dict(dest="sample_count", type=int),
 }
@@ -432,12 +392,40 @@ _KIND_BY_COMMAND = {
 }
 
 
+# config-file key (an ExperimentSpec field) -> its flag; --solver is an
+# alias of --method
+_FLAG_OF_FIELD = {kw.get("dest", name): name for name, kw in _FLAGS.items()
+                  if name not in ("config", "solver")}
+
+
+def _config_flags(path) -> list[str]:
+    """`field = value` lines as `--flag=value`; '#' starts a comment."""
+    flags = []
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"bad config line: {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _FLAG_OF_FIELD:
+            raise ValueError(f"unknown parameter {key!r}")
+        flags.append(f"--{_FLAG_OF_FIELD[key]}={value}")
+    return flags
+
+
 def run_command(argv) -> int:
-    args = vars(_make_parser().parse_args(argv))
+    parser = _make_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # the file's flags go first: explicit flags win
+        at = list(argv).index(args.command) + 1
+        args = parser.parse_args(
+            [*argv[:at], *_config_flags(args.config), *argv[at:]])
+    args = vars(args)
     command = args.pop("command")
-    config = load_config_file(args.pop("config")) if args.get("config") else None
-    args.pop("config", None)
-    spec = build_spec(_KIND_BY_COMMAND[command], config, args)
+    del args["config"]
+    spec = ExperimentSpec(kind=_KIND_BY_COMMAND[command],
+                          **{k: v for k, v in args.items() if v is not None})
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,6 +1,8 @@
 """Experiment drivers, CSV determinism, config handling, CLI exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,24 +187,110 @@ class TestPlateau:
             harness.plateau_spread([{"skipped": 0, "P": 2, "iterations": 5}])
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize("field,value,message", [
+        ("p", 0, "P must be positive"),
+        ("p_values", (4, -2), "P must be positive"),
+        ("q_value", 0, "q must be positive"),
+        ("level", 0, "level must be positive"),
+        ("dim", 0, "dimension must be positive"),
+        ("dims", (1, -1), "dimension must be positive"),
+        ("gamma", -0.5, "gamma must be finite and nonnegative"),
+        ("gamma", math.nan, "gamma must be finite and nonnegative"),
+        ("gamma", math.inf, "gamma must be finite and nonnegative"),
+        ("gamma_values", (0.5, -1), "gamma must be finite and nonnegative"),
+        ("gamma_values", (math.nan,), "gamma must be finite and nonnegative"),
+        ("sample_count", 0, "samples must be positive"),
+    ])
+    def test_bad_value_rejected_on_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            harness.ExperimentSpec(**{field: value})
+
+    def test_every_field_has_exactly_one_flag(self):
+        # config-file keys are field names mapped to flags, so a field
+        # without a flag, or a flag without a field, breaks config files
+        dests = {name: kw.get("dest", name)
+                 for name, kw in harness._FLAGS.items()}
+        fields = {f.name for f in dataclasses.fields(harness.ExperimentSpec)}
+        assert set(dests.values()) - {"config"} <= fields
+        own = sorted(d for name, d in dests.items()
+                     if name not in ("config", "solver"))  # --solver: alias
+        assert own == sorted(fields - {"kind"})
+
+
+def _error(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip())["error"]
+
+
 class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
+        # config values go through the command's parser, exactly like the
+        # same flags (gamma = 1 is the float 1.0), and explicit flags win
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("s = 4\nmethod = pcg  # comment\np_values = 2,4\n")
-        loaded = harness.load_config_file(cfg)
-        spec = harness.build_spec("weak", loaded, {"seed": 7})
-        assert spec.s == 4 and spec.method == "pcg"
-        assert spec.p_values == (2, 4) and spec.seed == 7
+        cfg.write_text("# weak scaling\ndim = 1\ns = 4\ngamma = 1  # comment\n"
+                       "\np_values = 4, 8\nq_rule = fixed\nq_value = 2\n"
+                       "seed = 3\n")
+        assert harness.main(["weak-scale", "--config", str(cfg), "--seed", "7",
+                             "--out", str(tmp_path / "file")]) == 0
+        assert harness.main([
+            "weak-scale", "--dim", "1", "--s", "4", "--gamma", "1",
+            "--p-values", "4,8", "--q-rule", "fixed", "--q", "2",
+            "--seed", "7", "--out", str(tmp_path / "flags")]) == 0
+        body = (tmp_path / "file" / "weak.csv").read_bytes()
+        assert body == (tmp_path / "flags" / "weak.csv").read_bytes()
+        spec = json.loads(
+            (tmp_path / "file" / "weak_summary.json").read_text())["spec"]
+        assert spec["s"] == 4 and spec["gamma"] == 1.0
+        assert spec["p_values"] == [4, 8] and spec["seed"] == 7
 
-    def test_bad_line_raises(self, tmp_path):
+    def test_bad_line_raises(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("not a config line\n")
-        with pytest.raises(ValueError):
-            harness.load_config_file(cfg)
+        cfg.write_text("s = 4\nnot a config line\n")
+        out = tmp_path / "out"
+        assert harness.main(["weak-scale", "--config", str(cfg),
+                             "--out", str(out)]) == 1
+        assert "bad config line: 'not a config line'" in _error(capsys)
+        assert not out.exists()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            harness.build_spec("weak", {"bogus": 1}, {})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # 'kind' is set by the command and 'config' is not a field
+        for key in ("bogus", "kind", "config"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = strong\n")
+            out = tmp_path / key
+            assert harness.main(["weak-scale", "--dim", "1", "--s", "3",
+                                 "--p-values", "2", "--config", str(cfg),
+                                 "--out", str(out)]) == 1
+            assert f"unknown parameter '{key}'" in _error(capsys)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command,line", [
+        ("combine", "q_value = 7"),
+        ("combine", "q_rule = fixed"),
+        ("gamma-sweep", "gamma = 0.5"),
+        ("solve", "method = foo"),
+        ("solve", "p = four"),
+    ])
+    def test_value_the_command_cannot_take_is_a_usage_error(
+            self, tmp_path, command, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            harness.main([command, "--config", str(cfg),
+                          "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_gamma_fails_like_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gamma = -1\n")
+        base = ["solve", "--dim", "1", "--level", "4", "--p", "2",
+                "--out", str(tmp_path)]
+        assert harness.main(base + ["--config", str(cfg)]) == 1
+        from_file = _error(capsys)
+        assert harness.main(base + ["--gamma", "-1"]) == 1
+        assert from_file == _error(capsys)
+        assert "gamma must be finite and nonnegative, got -1.0" in from_file
 
 
 class TestCli:
@@ -351,6 +439,45 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "P must be positive" in payload["error"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["weak-scale", "--dim", "0", "--s", "3", "--p-values", "2,4"],
+         "dimension must be positive, got 0"),
+        (["dim-sweep", "--dims=-1", "--s", "3", "--p-values", "4"],
+         "dimension must be positive, got -1"),
+        (["solve", "--dim", "1", "--level", "4", "--p", "2", "--gamma", "nan"],
+         "gamma must be finite and nonnegative, got nan"),
+        (["weak-scale", "--dim", "1", "--s", "3", "--p-values", "4",
+          "--gamma", "inf"], "gamma must be finite and nonnegative, got inf"),
+        (["gamma-sweep", "--dim", "1", "--s", "3", "--p-values", "4",
+          "--gammas", "0.5,-1"], "gamma must be finite and nonnegative, got -1"),
+        (["combine", "--dim", "2", "--level", "4", "--samples", "0"],
+         "samples must be positive, got 0"),
+    ])
+    def test_bad_value_fails_before_any_solve(self, tmp_path, capsys,
+                                              monkeypatch, argv, message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a subproblem was solved")
+        monkeypatch.setattr(harness, "run_model_solve", no_solve)
+        monkeypatch.setattr(harness.combine, "run_combination", no_solve)
+        assert harness.main(argv + ["--out", str(tmp_path)]) == 1
+        assert message in _error(capsys)
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_out_that_looks_like_a_number(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert harness.main(
+            ["sfc-check", "--dim", "2", "--level", "2", "--out", "2024"]) == 0
+        assert (tmp_path / "2024" / "sfc_check.csv").exists()
+
+    def test_solve_levels_row_has_their_dimension(self, tmp_path, capsys):
+        code = harness.run_command([
+            "solve", "--levels", "4,4", "--p", "4", "--q-rule", "fixed",
+            "--q", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert "# d=2\n" in capsys.readouterr().out
+        header, row = (tmp_path / "single.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["d"] == "2"
 
     def test_sfc_check_level_zero_fails_fast(self, tmp_path, capsys):
         code = harness.main([
