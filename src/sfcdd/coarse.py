@@ -41,20 +41,12 @@ def build_coarse(part: Partition, A, q: int) -> CoarseSpace:
     if A.shape != (part.n, part.n):
         raise ValueError(f"matrix shape {A.shape} does not match N = {part.n}")
     n0 = q * part.p
-    indptr = np.zeros(n0 + 1, dtype=np.int64)
-    cols = np.empty(part.n, dtype=np.int64)
-    row = 0
-    pos = 0
-    for rng in part.disjoint:
-        start = rng.start
-        for size in aggregate_sizes(rng.length, q):
-            cols[pos:pos + size] = np.arange(start, start + size)
-            pos += size
-            start += size
-            row += 1
-            indptr[row] = pos
+    # the disjoint ranges tile [0, N) in order, so the aggregates do too
+    sizes = np.concatenate([aggregate_sizes(rng.length, q)
+                            for rng in part.disjoint])
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
     R0 = sp.csr_matrix(
-        (np.ones(part.n), cols, indptr), shape=(n0, part.n)
+        (np.ones(part.n), np.arange(part.n), indptr), shape=(n0, part.n)
     )
     A0 = triple_product(R0, A)
     return CoarseSpace(q, n0, R0, A0, factorize(A0))

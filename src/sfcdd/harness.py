@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -59,10 +60,13 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         positive = {"P": (self.p, *self.p_values), "q": (self.q_value,),
-                    "level": (self.level,), "dimension": (self.dim, *self.dims),
+                    "level": (self.level, *(self.levels or ())),
+                    "dimension": (self.dim, *self.dims), "S": (self.s,),
                     "samples": (self.sample_count,)}
         for name, values in positive.items():
             for v in values:
+                if not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {v}")
                 if v < 1:
                     raise ValueError(f"{name} must be positive, got {v}")
         for g in (self.gamma, *self.gamma_values):
@@ -248,7 +252,7 @@ def run_combine_experiment(spec: ExperimentSpec) -> tuple[list[dict], dict]:
         "d": spec.dim, "L": spec.level, "p_hat": spec.p_hat,
         "subproblems": len(result.partials),
         "subdomains_total": combine.subdomain_count_total(
-            spec.dim, spec.level, spec.p_hat) if spec.level >= spec.dim else None,
+            spec.dim, spec.level, spec.p_hat),
         "max_error": max_err, "rms_error": rms,
         "clamps": result.clamps,
     }
@@ -274,8 +278,7 @@ def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
                 c2 = sfc.decode(key + 1, cfg)
                 ok_adj &= sum(abs(a - b) for a, b in zip(c, c2)) == 1
             diag = {"bijective": ok_bij, "adjacent": ok_adj}
-        est = sfc.holder_estimate(cfg, min(spec.sample_count, 20000),
-                                  seed=spec.seed)
+        est = sfc.holder_estimate(cfg, spec.sample_count, seed=spec.seed)
         rows.append({
             "d": d, "n": n, "bijective": int(diag["bijective"]),
             "adjacent": int(diag["adjacent"]),
@@ -283,15 +286,6 @@ def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
             "holder_bound": f"{sfc.holder_bound(d):.12g}",
         })
     return rows
-
-
-def plateau_spread(rows: list[dict], p_min: int = 32) -> tuple[int, int]:
-    """(min, max) iteration count over the non-skipped rows with P >= p_min."""
-    vals = [int(r["iterations"]) for r in rows
-            if not r["skipped"] and r["P"] != "" and int(r["P"]) >= p_min]
-    if not vals:
-        raise ValueError("no rows in the plateau region")
-    return min(vals), max(vals)
 
 
 def write_rows_csv(path, rows, columns=None) -> None:
@@ -320,12 +314,28 @@ def write_summary_json(path, spec: ExperimentSpec, rows, extra=None) -> None:
         fh.write("\n")
 
 
-def _parse_values(text: str):
-    parts = [p for p in text.replace(",", " ").split() if p]
-    out = []
-    for p in parts:
-        out.append(float(p) if "." in p or "e" in p.lower() else int(p))
-    return tuple(out)
+def _number(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
+def _parse_values(text: str) -> tuple:
+    """A nonempty list of numbers separated by commas or spaces.
+
+    Integer tokens stay ints (so `--gammas 1` writes 1, not 1.0); nan and
+    inf are left for ExperimentSpec to reject with the field's message.
+    """
+    try:
+        values = tuple(_number(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected numbers separated by commas, such as 4,8,16; "
+            f"got {text!r}")
+    return values
 
 
 _METHODS = ("richardson", "pcg", "fcg")
@@ -421,6 +431,8 @@ def run_command(argv) -> int:
         at = list(argv).index(args.command) + 1
         args = parser.parse_args(
             [*argv[:at], *_config_flags(args.config), *argv[at:]])
+    if getattr(args, "q_value", None) is not None and args.q_rule != "fixed":
+        parser.error("--q (q_value) is read only with --q-rule fixed")
     args = vars(args)
     command = args.pop("command")
     del args["config"]

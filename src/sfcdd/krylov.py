@@ -106,34 +106,22 @@ EIG_STAGNATION_TOL = 2e-5
 EIG_MIN_ITERS = 40
 
 
-def estimate_extremal_eigs(apply_ca, n: int, *, seed: int = 0, a_matvec=None):
-    """Extremal eigenvalues of a preconditioned SPD operator.
+def estimate_extremal_eigs(A, apply_c, *, seed: int):
+    """Extremal eigenvalues of the preconditioned operator C^-1 A.
 
-    ``apply_ca`` applies the operator; it must be self-adjoint in the
-    inner product induced by ``a_matvec`` (Euclidean when None).  Small
-    problems (n <= 300) are resolved by a dense eigensolve; otherwise
-    the three-term Lanczos recurrence in that inner product runs for at
-    most min(200, n) steps, stopping early once both extremal Ritz
-    values stagnate.  Extremal Ritz values converge without
+    ``apply_c`` applies C^-1, which must be symmetric, so that C^-1 A is
+    self-adjoint in the A-inner product.  The three-term Lanczos
+    recurrence in that inner product runs for at most min(200, n) steps
+    with n = A.shape[0], stopping early once both extremal Ritz values
+    stagnate.  Extremal Ritz values converge without
     reorthogonalization (Paige 1980), so only the last two Lanczos
     vectors are kept.  On breakdown the Ritz values found so far are
     returned.
     """
-    if n <= 300:
-        M = np.empty((n, n))
-        e = np.zeros(n)
-        for j in range(n):
-            e[j] = 1.0
-            M[:, j] = apply_ca(e)
-            e[j] = 0.0
-        lam = np.real(sla.eigvals(M))
-        return float(lam.min()), float(lam.max())
-
+    n = A.shape[0]
     rng = np.random.default_rng((seed, 0xE16))
-    mv = a_matvec if a_matvec is not None else (lambda v: v)
-
     q = rng.standard_normal(n)
-    aq = mv(q)
+    aq = A @ q
     scale = np.sqrt(float(q @ aq))
     q, aq = q / scale, aq / scale
     q_prev = None
@@ -142,7 +130,7 @@ def estimate_extremal_eigs(apply_ca, n: int, *, seed: int = 0, a_matvec=None):
     prev = None
     stable = 0
     for k in range(min(200, n)):
-        w = apply_ca(q)
+        w = apply_c(A @ q)
         alpha = float(w @ aq)  # (w, q) in the A-inner product
         alphas.append(alpha)
         w = w - alpha * q
@@ -157,7 +145,7 @@ def estimate_extremal_eigs(apply_ca, n: int, *, seed: int = 0, a_matvec=None):
         prev = (lam_lo, lam_hi)
         if k + 1 >= EIG_MIN_ITERS and stable >= 5:
             break
-        aw = mv(w)
+        aw = A @ w
         beta = np.sqrt(max(float(w @ aw), 0.0))
         if beta <= 1e-14 * max(abs(alpha), 1.0):
             break
@@ -225,15 +213,12 @@ def richardson(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
     estimated first and xi = 2/(lambda_min + lambda_max).
     """
     t0 = time.perf_counter()
-    n = b.shape[0]
     apply_c = precond.apply if precond is not None else (lambda v: v.copy())
     lam = (None, None)
     if cfg.damping == "optimal":
         if precond is not None and not getattr(precond, "symmetric", True):
             raise ValueError("optimal damping requires a symmetric preconditioner")
-        lam = estimate_extremal_eigs(
-            lambda v: apply_c(A @ v), n, seed=cfg.seed,
-            a_matvec=lambda v: A @ v)
+        lam = estimate_extremal_eigs(A, apply_c, seed=cfg.seed)
         xi = 2.0 / (lam[0] + lam[1])
     else:
         xi = float(cfg.damping)

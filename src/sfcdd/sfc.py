@@ -312,7 +312,7 @@ def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
     keys = random_keys(rng, cfg.key_bits, 2 * samples)  # pairs (k1, k2)
-    if cfg.dim == 1:  # the curve is the identity
+    if cfg.dim == 1:  # the identity; its keys can outgrow decode_many's 64 bits
         points = [(k,) for k in keys]
     else:
         words = (np.array([k >> 64 for k in keys], dtype=np.uint64),

@@ -137,8 +137,18 @@ def test_criterion_5_richardson_rate_matches_eigen_oracle():
     rep = harness.run_model_solve(
         (8,), 4, 0.5, 16, method="richardson", variant="balanced",
         weighting="omega", seed=42)
-    # N = 255 <= 300, so the damping used the dense eigensolve directly
-    kappa = rep.lambda_max / rep.lambda_min
+    # the oracle: a dense eigensolve of C^-1 A for the same operator
+    A = grid.assemble_laplacian((8,))
+    n = A.shape[0]
+    A_hat, _, _ = grid.symmetrize_diag(A, np.zeros(n))
+    part = build_partition(n, 4, 0.5)
+    op = schwarz.setup(A_hat, part, build_coarse(part, A_hat, 16),
+                       schwarz.SchwarzConfig("balanced", "omega"))
+    lam = np.real(np.linalg.eigvals(
+        schwarz_oracles.dense_operator(op) @ A_hat.toarray()))
+    assert rep.lambda_min == pytest.approx(lam.min(), rel=1e-6)
+    assert rep.lambda_max == pytest.approx(lam.max(), rel=1e-6)
+    kappa = lam.max() / lam.min()
     rho_star = 1.0 - 2.0 / (1.0 + kappa)
     hist = np.array(rep.energy_history)
     ratios = hist[1:] / hist[:-1]

@@ -64,6 +64,22 @@ class TestBuildCoarse:
         np.testing.assert_array_equal(np.asarray(R.sum(axis=0)).ravel(),
                                       np.ones(12))
 
+    def test_csr_arrays_match_brute_force_indicators(self):
+        # N mod P = 3 and the subdomain lengths 6, 6, 6, 5 leave
+        # remainders 2 and 1 against q = 4
+        n, p, q = 23, 4, 4
+        part = build_partition(n, p, 0.5)
+        R = build_coarse(part, random_spd_csr(n, 5), q).restriction
+        dense = np.zeros((p * q, n))
+        for i, rng in enumerate(part.disjoint):
+            chunks = np.array_split(rng.indices(), q)
+            for m, chunk in enumerate(chunks):
+                dense[i * q + m, chunk] = 1.0
+        expected = sp.csr_matrix(dense)
+        np.testing.assert_array_equal(R.indptr, expected.indptr)
+        np.testing.assert_array_equal(R.indices, expected.indices)
+        np.testing.assert_array_equal(R.data, expected.data)
+
     def test_every_column_has_exactly_one_nonzero(self):
         part = build_partition(37, 5, 1.0)
         A = random_spd_csr(37, 3)

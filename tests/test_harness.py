@@ -171,22 +171,6 @@ class TestQRule:
             harness.resolve_q(small_spec(), 100, p)
 
 
-class TestPlateau:
-    def test_spread_over_plateau_region(self):
-        rows = [
-            {"skipped": 0, "P": 16, "iterations": 50},
-            {"skipped": 0, "P": 32, "iterations": 30},
-            {"skipped": 0, "P": 64, "iterations": 31},
-            {"skipped": 1, "P": 128, "iterations": ""},
-            {"skipped": 0, "P": 256, "iterations": 33},
-        ]
-        assert harness.plateau_spread(rows) == (30, 33)
-
-    def test_empty_region_raises(self):
-        with pytest.raises(ValueError):
-            harness.plateau_spread([{"skipped": 0, "P": 2, "iterations": 5}])
-
-
 class TestExperimentSpec:
     @pytest.mark.parametrize("field,value,message", [
         ("p", 0, "P must be positive"),
@@ -201,6 +185,11 @@ class TestExperimentSpec:
         ("gamma_values", (0.5, -1), "gamma must be finite and nonnegative"),
         ("gamma_values", (math.nan,), "gamma must be finite and nonnegative"),
         ("sample_count", 0, "samples must be positive"),
+        ("s", 0, "S must be positive"),
+        ("s", -3, "S must be positive"),
+        ("levels", (3, 0), "level must be positive"),
+        ("p_values", (4, 2.5), "P must be an integer"),
+        ("p_values", (math.nan,), "P must be an integer"),
     ])
     def test_bad_value_rejected_on_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -279,6 +268,27 @@ class TestConfigFile:
             harness.main([command, "--config", str(cfg),
                           "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_list_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("p_values =\n")
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["weak-scale", "--dim", "1", "--s", "3", "--config",
+                          str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "expected numbers separated by commas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_q_value_without_fixed_rule_is_a_usage_error(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("q_value = 7\n")
+        with pytest.raises(SystemExit) as exc:
+            harness.main(["solve", "--dim", "1", "--level", "5", "--p", "4",
+                          "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--q-rule fixed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_negative_gamma_fails_like_the_flag(self, tmp_path, capsys):
@@ -453,6 +463,17 @@ class TestCli:
           "--gammas", "0.5,-1"], "gamma must be finite and nonnegative, got -1"),
         (["combine", "--dim", "2", "--level", "4", "--samples", "0"],
          "samples must be positive, got 0"),
+        (["gamma-sweep", "--dim", "1", "--s", "3", "--p-values", "4",
+          "--gammas", "nan"], "gamma must be finite and nonnegative, got nan"),
+        (["gamma-sweep", "--dim", "1", "--s", "3", "--p-values", "4",
+          "--gammas", "0.5,inf"],
+         "gamma must be finite and nonnegative, got inf"),
+        (["weak-scale", "--dim", "1", "--s", "3", "--p-values", "4,nan"],
+         "P must be an integer, got nan"),
+        (["weak-scale", "--dim", "2", "--s", "0", "--p-values", "2,4"],
+         "S must be positive, got 0"),
+        (["weak-scale", "--dim", "1", "--s=-3", "--p-values", "2,4"],
+         "S must be positive, got -3"),
     ])
     def test_bad_value_fails_before_any_solve(self, tmp_path, capsys,
                                               monkeypatch, argv, message):
@@ -463,6 +484,59 @@ class TestCli:
         assert harness.main(argv + ["--out", str(tmp_path)]) == 1
         assert message in _error(capsys)
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["weak-scale", "--dim", "1", "--s", "3", "--p-values="],
+        ["dim-sweep", "--dims=", "--s", "3", "--p-values", "4"],
+        ["solve", "--levels=", "--p", "2"],
+        ["gamma-sweep", "--dim", "1", "--s", "3", "--p-values", "4",
+         "--gammas", "0.5,abc"],
+        ["solve", "--levels", "4;4", "--p", "2"],
+    ])
+    def test_bad_list_is_a_usage_error_naming_the_format(
+            self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected numbers separated by commas, such as 4,8,16" in err
+        assert "_parse_values" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_list_tokens_keep_their_type(self):
+        values = harness._parse_values("1, 0.5 2e-1,3")
+        assert values == (1, 0.5, 0.2, 3)
+        assert [type(v) for v in values] == [int, float, float, int]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--dim", "1", "--level", "9", "--p", "4", "--q", "7"],
+        ["strong-scale", "--level", "10", "--p-values", "4", "--q", "3"],
+        ["weak-scale", "--dim", "1", "--s", "6", "--p-values", "4",
+         "--q", "3"],
+        ["solve", "--dim", "1", "--level", "5", "--p", "4",
+         "--q-rule", "auto", "--q", "2"],
+    ])
+    def test_q_without_fixed_rule_is_a_usage_error(
+            self, tmp_path, capsys, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a subproblem was solved")
+        monkeypatch.setattr(harness, "run_model_solve", no_solve)
+        with pytest.raises(SystemExit) as exc:
+            harness.main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--q-rule fixed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sfc_check_runs_every_requested_sample(self, monkeypatch):
+        seen = []
+
+        def record(cfg, samples, seed=0):
+            seen.append(samples)
+            return 0.0
+        monkeypatch.setattr(harness.sfc, "holder_estimate", record)
+        harness.run_sfc_check(harness.ExperimentSpec(
+            kind="sfc_check", dim=2, level=2, sample_count=30000))
+        assert seen == [30000, 30000]
 
     def test_out_that_looks_like_a_number(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
