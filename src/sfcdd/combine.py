@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grid, krylov, schwarz
 from .coarse import build_coarse
-from .partition import build_partition
+from .partition import build_partition, overlap_fits
 
 Levels = tuple[int, ...]
 
@@ -119,33 +119,24 @@ def multilinear_interpolate(levels, values_lex: np.ndarray,
     values are zero.  ``points`` must lie in the closed unit cube.
     """
     levels = grid.as_levels(levels)
-    d = len(levels)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = pts.shape[0]
-    cells = np.empty((m, d), dtype=np.int64)
-    fracs = np.empty((m, d))
+    # the zero Dirichlet layer puts node k of axis j at index k, so both
+    # corners of every cell exist and no corner needs a range test
+    nodes = np.pad(values_lex, 1)
+    cells = []
+    fracs = []
     for j, l in enumerate(levels):
         t = pts[:, j] * (1 << l)
         c = np.clip(np.floor(t).astype(np.int64), 0, (1 << l) - 1)
-        cells[:, j] = c
-        fracs[:, j] = t - c
-    out = np.zeros(m)
-    shape = values_lex.shape
-    for corner in range(1 << d):
-        bits = [(corner >> j) & 1 for j in range(d)]
-        weight = np.ones(m)
-        node = np.empty((m, d), dtype=np.int64)
-        for j in range(d):
-            weight *= fracs[:, j] if bits[j] else 1.0 - fracs[:, j]
-            node[:, j] = cells[:, j] + bits[j]
-        interior = np.ones(m, dtype=bool)
-        for j, l in enumerate(levels):
-            interior &= (node[:, j] >= 1) & (node[:, j] <= (1 << l) - 1)
-        if not interior.any():
-            continue
-        flat = np.ravel_multi_index(
-            [node[interior, j] - 1 for j in range(d)], shape)
-        out[interior] += weight[interior] * values_lex.reshape(-1)[flat]
+        cells.append(c)
+        fracs.append(t - c)
+    out = np.zeros(pts.shape[0])
+    for corner in range(1 << len(levels)):
+        bits = [(corner >> j) & 1 for j in range(len(levels))]
+        weight = np.ones(pts.shape[0])
+        for f, bit in zip(fracs, bits):
+            weight *= f if bit else 1.0 - f
+        out += weight * nodes[tuple(c + bit for c, bit in zip(cells, bits))]
     return out
 
 
@@ -167,9 +158,8 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
     if p != p_target:
         clamps.append(f"levels={levels}: P clamped {p_target} -> {p}")
     g = gamma
-    if p < 2 or 2 * g + 1 > p:
-        if g != 0:
-            clamps.append(f"levels={levels}: gamma clamped {g} -> 0 (P={p})")
+    if not overlap_fits(p, g):
+        clamps.append(f"levels={levels}: gamma clamped {g} -> 0 (P={p})")
         g = 0.0
     q = default_q_rule(n, p)
     A = grid.assemble_laplacian(levels)

@@ -10,6 +10,7 @@ contiguous index ranges.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -36,10 +37,11 @@ class Problem:
 
 
 def as_levels(levels) -> tuple[int, ...]:
-    ell = tuple(int(v) for v in levels)
-    if not ell or any(l < 1 for l in ell):
-        raise ValueError(f"level vector must have positive entries, got {levels}")
-    return ell
+    ell = tuple(levels)
+    if not ell or not all(isinstance(l, numbers.Integral) and l >= 1 for l in ell):
+        raise ValueError(
+            f"level vector must have positive integer entries, got {levels}")
+    return tuple(int(l) for l in ell)
 
 
 def interior_shape(levels) -> tuple[int, ...]:

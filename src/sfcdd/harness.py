@@ -22,7 +22,7 @@ import numpy as np
 
 from . import combine, grid, krylov, schwarz, sfc
 from .coarse import build_coarse
-from .partition import build_partition
+from .partition import build_partition, overlap_fits
 
 DEFAULT_P_SWEEP = (2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_GAMMAS = (0.2, 0.25, 0.5, 1.0, 1.5, 2.0, 5.0)
@@ -166,7 +166,7 @@ def _scaling_row(spec: ExperimentSpec, levels, p: int, gamma: float,
     if p > n:
         row.update(skipped=1, reason=f"P={p} exceeds N={n}")
         return row
-    if gamma > 0 and (p < 2 or 2 * gamma + 1 > p):
+    if not overlap_fits(p, gamma):
         row.update(skipped=1, reason=f"2*gamma+1 > P for gamma={gamma}")
         return row
     q = resolve_q(spec, n, p)

@@ -130,7 +130,7 @@ def estimate_extremal_eigs(A, apply_c, *, seed: int):
     prev = None
     stable = 0
     for k in range(min(200, n)):
-        w = apply_c(A @ q)
+        w = apply_c(aq)
         alpha = float(w @ aq)  # (w, q) in the A-inner product
         alphas.append(alpha)
         w = w - alpha * q

@@ -63,6 +63,11 @@ def _as_fraction(gamma) -> Fraction:
     return Fraction(gamma).limit_denominator(10**6)
 
 
+def overlap_fits(p: int, gamma) -> bool:
+    """Whether P subdomains admit overlap gamma, i.e. 2*gamma+1 <= P exactly."""
+    return 2 * _as_fraction(gamma) + 1 <= p
+
+
 def enlarge(disjoint: list[CyclicRange], gamma) -> list[CyclicRange]:
     """Overlapped ranges: each disjoint range grown by gamma neighbours per side.
 
@@ -78,9 +83,7 @@ def enlarge(disjoint: list[CyclicRange], gamma) -> list[CyclicRange]:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if g == 0:
         return list(disjoint)
-    if p < 2:
-        raise ValueError("overlap requires at least two subdomains")
-    if 2 * g + 1 > p:
+    if not overlap_fits(p, gamma):
         raise ValueError(f"2*gamma+1 = {float(2 * g + 1):g} exceeds P = {p}")
     whole = math.floor(g)
     eta = g - whole

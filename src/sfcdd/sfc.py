@@ -17,6 +17,7 @@ algorithm on whole ``uint64`` arrays of points and holds each key as a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,8 +266,11 @@ def grid_point_key(multi_index, levels) -> int:
     keeps the per-axis order and makes distinct points map to distinct
     keys.
     """
-    ell = tuple(int(v) for v in levels)
-    idx = tuple(int(v) for v in multi_index)
+    ell, idx = tuple(levels), tuple(multi_index)
+    if not all(isinstance(v, numbers.Integral) for v in ell + idx):
+        raise ValueError(f"level vector {levels} and multi-index {multi_index} "
+                         "must have integer entries")
+    ell, idx = tuple(int(v) for v in ell), tuple(int(v) for v in idx)
     if len(idx) != len(ell):
         raise ValueError("multi-index and level vector have different lengths")
     for k, lj in zip(idx, ell):

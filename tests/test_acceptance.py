@@ -159,6 +159,7 @@ def test_criterion_5_richardson_rate_matches_eigen_oracle():
           f"(kappa {kappa:.2f}, {rep.iterations} iterations)")
 
 
+@pytest.mark.slow
 def test_criterion_6a_weak_scaling_iteration_counts_d1():
     p_values = (16, 32, 64, 128, 256)
     pcg_all = {}
@@ -185,6 +186,7 @@ def test_criterion_6a_weak_scaling_iteration_counts_d1():
           f"within 145+-25 (P >= 32), relative spreads {spreads}")
 
 
+@pytest.mark.slow
 def test_criterion_6b_weak_scaling_plateau_d6():
     context = {}
     for p in (16, 32):

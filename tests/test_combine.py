@@ -80,7 +80,57 @@ class TestSubdomainCountTotal:
         assert combine.subdomain_count_total(d, level, 3) == from_plan
 
 
+def masked_interpolate_reference(levels, values_lex, points):
+    """Interpolant with a per-corner interior mask and no boundary padding."""
+    levels = grid.as_levels(levels)
+    d = len(levels)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m = pts.shape[0]
+    cells = np.empty((m, d), dtype=np.int64)
+    fracs = np.empty((m, d))
+    for j, l in enumerate(levels):
+        t = pts[:, j] * (1 << l)
+        c = np.clip(np.floor(t).astype(np.int64), 0, (1 << l) - 1)
+        cells[:, j] = c
+        fracs[:, j] = t - c
+    out = np.zeros(m)
+    shape = values_lex.shape
+    for corner in range(1 << d):
+        bits = [(corner >> j) & 1 for j in range(d)]
+        weight = np.ones(m)
+        node = np.empty((m, d), dtype=np.int64)
+        for j in range(d):
+            weight *= fracs[:, j] if bits[j] else 1.0 - fracs[:, j]
+            node[:, j] = cells[:, j] + bits[j]
+        interior = np.ones(m, dtype=bool)
+        for j, l in enumerate(levels):
+            interior &= (node[:, j] >= 1) & (node[:, j] <= (1 << l) - 1)
+        if not interior.any():
+            continue
+        flat = np.ravel_multi_index(
+            [node[interior, j] - 1 for j in range(d)], shape)
+        out[interior] += weight[interior] * values_lex.reshape(-1)[flat]
+    return out
+
+
 class TestInterpolation:
+    @pytest.mark.parametrize("levels", [
+        (1,), (3,), (20,), (2, 5), (3, 2, 4), (2, 2, 2, 3), (1, 1, 1, 4),
+        (2,) * 6])
+    def test_bitwise_equal_to_masked_reference(self, levels):
+        d = len(levels)
+        rng = np.random.default_rng(len(levels) + sum(levels))
+        vals = rng.standard_normal(grid.interior_shape(levels))
+        fine = max(levels)
+        aligned = rng.integers(0, (1 << fine) + 1, size=(3000, d)) / 2.0**fine
+        aligned[:d, :] = np.eye(d)  # the faces x_j = 1 ...
+        aligned[d:2 * d, :] = 1.0 - np.eye(d)  # ... and x_j = 0
+        for pts in (rng.uniform(size=(3000, d)), aligned,
+                    rng.uniform(size=(1, d))):
+            got = combine.multilinear_interpolate(levels, vals, pts)
+            want = masked_interpolate_reference(levels, vals, pts)
+            assert got.tobytes() == want.tobytes()
+
     def test_exact_at_grid_nodes(self):
         levels = (2, 3)
         rng = np.random.default_rng(0)
@@ -163,6 +213,14 @@ class TestRunCombination:
         assert isinstance(result.clamps, list)
         p_by_levels = {p.levels: p.report.params["P"] for p in result.partials}
         assert all(p >= 1 for p in p_by_levels.values())
+
+    def test_gamma_clamp_follows_partition_rule(self):
+        # 1.5000001 is read as 3/2, so 2*gamma+1 = 4 = P fits exactly
+        partial, notes = combine.solve_subproblem((4,), 4, gamma=1.5000001)
+        assert notes == [] and partial.report.params["gamma"] == 1.5000001
+        partial, notes = combine.solve_subproblem((4,), 4, gamma=2.0)
+        assert notes == ["levels=(4,): gamma clamped 2.0 -> 0 (P=4)"]
+        assert partial.report.params["gamma"] == 0.0
 
     def test_solver_failures_aggregated_with_level_vectors(self):
         plan = combine.enumerate_plan(2, 4)

@@ -75,6 +75,15 @@ class TestNumDofs:
         with pytest.raises(ValueError):
             grid.num_dofs((0, 3))
 
+    @pytest.mark.parametrize("levels", [(2.5,), (5.7,), (3, 3.0), ("3",)])
+    def test_rejects_non_integer_level(self, levels):
+        with pytest.raises(ValueError, match=r"level vector .*got \("):
+            grid.num_dofs(levels)
+
+    def test_accepts_numpy_integers(self):
+        assert grid.as_levels(np.array([2, 3])) == (2, 3)
+        assert grid.num_dofs((np.int32(2), np.uint8(3))) == 21
+
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             grid.num_dofs((40, 40))

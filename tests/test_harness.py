@@ -121,6 +121,13 @@ class TestStrongScaling:
         with pytest.raises(ValueError):
             harness.run_strong_scaling(small_spec(kind="strong", dim=2))
 
+    def test_gamma_read_like_the_partition(self):
+        # 1.5000001 is read as 3/2, so 2*gamma+1 = 4 = P fits exactly
+        spec = small_spec(kind="strong", level=5, p_values=(4,),
+                          gamma=1.5000001)
+        rows = harness.run_strong_scaling(spec)
+        assert rows[0]["skipped"] == 0 and rows[0]["converged"] == 1
+
 
 class TestDimSweep:
     def test_rows_for_each_dimension(self):

@@ -62,6 +62,26 @@ class TestEstimateExtremalEigs:
             assert lo == pytest.approx(dense.min(), rel=1e-6), levels
             assert hi == pytest.approx(dense.max(), rel=1e-6), levels
 
+    def test_one_spmv_per_lanczos_step(self):
+        Ah, op = model_setup((9,), 8, 0.5, 4)
+        counts = {"spmv": 0, "apply": 0}
+
+        class CountingA:
+            shape = Ah.shape
+
+            def __matmul__(self, v):
+                counts["spmv"] += 1
+                return Ah @ v
+
+        def apply_c(v):
+            counts["apply"] += 1
+            return op.apply(v)
+
+        got = krylov.estimate_extremal_eigs(CountingA(), apply_c, seed=2)
+        assert counts["spmv"] <= counts["apply"] + 1
+        want = krylov.estimate_extremal_eigs(Ah, op.apply, seed=2)
+        assert got == want
+
     def test_identity_breakdown_returns_ritz_so_far(self):
         lo, hi = krylov.estimate_extremal_eigs(
             sp.identity(400, format="csr"), lambda v: v.copy(), seed=3)

@@ -115,6 +115,18 @@ class TestEnlarge:
         with pytest.raises(ValueError):
             pt.enlarge(disjoint, 0.5)
 
+    @pytest.mark.parametrize("p,gamma,fits", [
+        (1, 0, True), (1, 0.5, False), (2, 0.5, True), (4, 1.5, True),
+        (4, 1.5000001, True), (4, 1.51, False), (5, 2.0, True)])
+    def test_overlap_fits_reads_gamma_like_enlarge(self, p, gamma, fits):
+        assert pt.overlap_fits(p, gamma) == fits
+        disjoint = pt.disjoint_partition(40, p)
+        if fits:
+            assert len(pt.enlarge(disjoint, gamma)) == p
+        else:
+            with pytest.raises(ValueError, match="exceeds P"):
+                pt.enlarge(disjoint, gamma)
+
 
 class TestWeights:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5, 2.0])

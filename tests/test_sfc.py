@@ -259,6 +259,14 @@ class TestGridPointKey:
         with pytest.raises(ValueError):
             sfc.grid_point_key((4, 1), (2, 2))
 
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(ValueError, match="integer"):
+            sfc.grid_point_key((1.5, 1), (2, 2))
+        with pytest.raises(ValueError, match="integer"):
+            sfc.grid_point_key((1, 1), (2, 2.5))
+        assert sfc.grid_point_key(np.array([1, 2]), np.array([2, 2])) == \
+            sfc.grid_point_key((1, 2), (2, 2))
+
 
 def random_key_reference(rng, key_bits):
     """The per-key draw that random_keys replaced: one rng.bytes per key."""
