@@ -6,8 +6,8 @@ from .combine import (CombinationPlan, enumerate_plan, run_combination,
                       sampled_error, subdomain_count_total)
 from .grid import (Problem, assemble_laplacian, manufactured_poisson, num_dofs,
                    symmetrize_diag)
-from .krylov import (SolveReport, SolverConfig, estimate_extremal_eigs, fcg,
-                     initial_iterate, pcg, richardson)
+from .krylov import (SolveReport, SolverConfig, estimate_extremal_eigs,
+                     initial_iterate)
 from .linalg import Factorization, factorize, triple_product
 from .partition import (CyclicRange, OverlapWeights, Partition,
                         build_partition, compute_weights, disjoint_partition,
@@ -23,8 +23,8 @@ __all__ = [
     "subdomain_count_total",
     "Problem", "assemble_laplacian", "manufactured_poisson", "num_dofs",
     "symmetrize_diag",
-    "SolveReport", "SolverConfig", "estimate_extremal_eigs", "fcg",
-    "initial_iterate", "pcg", "richardson",
+    "SolveReport", "SolverConfig", "estimate_extremal_eigs",
+    "initial_iterate",
     "Factorization", "factorize", "triple_product",
     "CyclicRange", "OverlapWeights", "Partition", "build_partition",
     "compute_weights", "disjoint_partition", "enlarge",

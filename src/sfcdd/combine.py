@@ -96,33 +96,35 @@ class PartialSolution:
 
 
 class CombinedSolution:
-    """Coefficient-weighted sum of multilinear interpolants; immutable."""
+    """Coefficient-weighted sum of multilinear interpolants; immutable.
+
+    Each grid's interior values are checked against its levels and
+    padded with the zero Dirichlet layer once, here, so that node k of
+    axis j sits at index k.
+    """
 
     def __init__(self, terms):
-        self._terms = [
-            (float(coeff), levels, values_lex) for coeff, levels, values_lex in terms
-        ]
+        self._terms = []
+        for coeff, levels, values_lex in terms:
+            shape = grid.interior_shape(levels)
+            values = np.asarray(values_lex)
+            if values.shape != shape:
+                raise ValueError(f"values for levels {tuple(levels)} must "
+                                 f"have shape {shape}, got {values.shape}")
+            self._terms.append(
+                (float(coeff), grid.as_levels(levels), np.pad(values, 1)))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         out = np.zeros(pts.shape[0])
-        for coeff, levels, values_lex in self._terms:
-            out += coeff * multilinear_interpolate(levels, values_lex, pts)
+        for coeff, levels, nodes in self._terms:
+            out += coeff * _interpolate_padded(levels, nodes, pts)
         return out
 
 
-def multilinear_interpolate(levels, values_lex: np.ndarray,
-                            points: np.ndarray) -> np.ndarray:
-    """Evaluate the d-linear interpolant of interior nodal values.
-
-    ``values_lex`` has shape (2**l_1 - 1, ..., 2**l_d - 1); boundary
-    values are zero.  ``points`` must lie in the closed unit cube.
-    """
-    levels = grid.as_levels(levels)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    # the zero Dirichlet layer puts node k of axis j at index k, so both
-    # corners of every cell exist and no corner needs a range test
-    nodes = np.pad(values_lex, 1)
+def _interpolate_padded(levels, nodes, pts) -> np.ndarray:
+    """The d-linear interpolant of zero-padded nodal values at (m, d) points."""
+    # both corners of every cell exist, so no corner needs a range test
     cells = []
     fracs = []
     for j, l in enumerate(levels):
@@ -138,6 +140,16 @@ def multilinear_interpolate(levels, values_lex: np.ndarray,
             weight *= f if bit else 1.0 - f
         out += weight * nodes[tuple(c + bit for c, bit in zip(cells, bits))]
     return out
+
+
+def multilinear_interpolate(levels, values_lex: np.ndarray,
+                            points: np.ndarray) -> np.ndarray:
+    """Evaluate the d-linear interpolant of interior nodal values.
+
+    ``values_lex`` has shape (2**l_1 - 1, ..., 2**l_d - 1); boundary
+    values are zero.  ``points`` must lie in the closed unit cube.
+    """
+    return CombinedSolution([(1.0, levels, values_lex)])(points)
 
 
 @dataclass

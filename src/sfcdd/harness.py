@@ -338,16 +338,14 @@ def _parse_values(text: str) -> tuple:
     return values
 
 
-_METHODS = ("richardson", "pcg", "fcg")
-
 # argparse keywords of every flag, keyed by the flag's name
 _FLAGS = {
     "seed": dict(type=int),
     "out": dict(),
     "config": dict(),
     "dim": dict(type=int),
-    "method": dict(choices=_METHODS),
-    "solver": dict(dest="method", choices=_METHODS),
+    "method": dict(choices=krylov.METHODS),
+    "solver": dict(dest="method", choices=krylov.METHODS),
     "variant": dict(choices=schwarz.VARIANTS),
     "weighting": dict(choices=schwarz.WEIGHTINGS),
     "gamma": dict(type=float),
@@ -379,6 +377,10 @@ _COMMAND_FLAGS = {
                 "tolerance", "max-iters", "level", "phat", "samples"),
     "sfc-check": ("dim", "level", "samples"),
 }
+# srel4 reads S, which these commands do not take; by default they use
+# the fixed q = 16, srel4's value at the default S = 8
+_NO_SREL4 = tuple(c for c, names in _COMMAND_FLAGS.items()
+                  if "q-rule" in names and "s" not in names)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -391,7 +393,10 @@ def _make_parser() -> argparse.ArgumentParser:
         # and --dims on the commands that do not take them
         p = sub.add_parser(command, allow_abbrev=False)
         for name in ("seed", "out", "config", *names):
-            p.add_argument("--" + name, default=None, **_FLAGS[name])
+            kwargs = _FLAGS[name]
+            if name == "q-rule" and command in _NO_SREL4:
+                kwargs = dict(kwargs, choices=("fixed", "auto"))
+            p.add_argument("--" + name, default=None, **kwargs)
     return parser
 
 
@@ -433,6 +438,8 @@ def run_command(argv) -> int:
             [*argv[:at], *_config_flags(args.config), *argv[at:]])
     if getattr(args, "q_value", None) is not None and args.q_rule != "fixed":
         parser.error("--q (q_value) is read only with --q-rule fixed")
+    if args.command in _NO_SREL4 and args.q_rule is None:
+        args.q_rule = "fixed"
     args = vars(args)
     command = args.pop("command")
     del args["config"]

@@ -1,9 +1,12 @@
 """Outer iterations: damped Richardson, preconditioned CG, flexible CG.
 
-All solvers share the stopping logic: either the energy-norm error
+:func:`run` is the one iteration driver.  It checks the preconditioner,
+records the initial residual, and then advances the method's step
+recurrence, recording every iterate, until the stopping test holds or
+``max_iters`` steps have run.  The test is either the energy-norm error
 (requires the exact discrete solution) or the Euclidean residual norm
-must drop below ``tolerance`` times its initial value.  Reports carry
-the full per-iteration history, extremal-eigenvalue estimates where
+dropping below ``tolerance`` times its initial value.  Reports carry the
+full per-iteration history, extremal-eigenvalue estimates where
 computed, and a parameter echo, and serialize to CSV/JSON-friendly
 records.  Identical configuration and seed give bitwise identical
 histories.
@@ -14,9 +17,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 import scipy.linalg as sla
+
+METHODS = ("richardson", "pcg", "fcg")
 
 
 class BreakdownError(RuntimeError):
@@ -29,15 +35,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "pcg"  # richardson | pcg | fcg
-    damping: float | str = "optimal"  # richardson only
+    method: str = "pcg"  # one of METHODS
     tolerance: float = 1e-8
     tolerance_kind: str = "energy_error_reduction"  # or relative_residual
     max_iters: int = 20000
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.method not in ("richardson", "pcg", "fcg"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.tolerance_kind not in ("energy_error_reduction", "relative_residual"):
             raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
@@ -61,18 +66,11 @@ class SolveReport:
     solution: np.ndarray | None = None
     params: dict = field(default_factory=dict)
 
-    def iteration_rows(self):
-        rows = []
-        for k, res in enumerate(self.residual_history):
-            energy = self.energy_history[k] if self.energy_history else ""
-            rows.append((k, energy, res))
-        return rows
-
     def write_iterations_csv(self, fh) -> None:
         fh.write("k,energy_error,residual\r\n")
-        for k, energy, res in self.iteration_rows():
-            e = repr(energy) if energy != "" else ""
-            fh.write(f"{k},{e},{repr(res)}\r\n")
+        for k, res in enumerate(self.residual_history):
+            energy = repr(self.energy_history[k]) if self.energy_history else ""
+            fh.write(f"{k},{energy},{res!r}\r\n")
 
     def summary(self) -> dict:
         out = {
@@ -198,119 +196,96 @@ class _Tracker:
         return hist[-1] > 10.0 * self._baseline
 
 
-def _finish(report: SolveReport, t0: float, x, t) -> SolveReport:
-    report.wall_time = time.perf_counter() - t0
-    report.solution = x
-    report.energy_history = t.energy_history
-    report.residual_history = t.residual_history
-    return report
-
-
-def richardson(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
-    """Damped preconditioned Richardson iteration x += xi * C^-1 (b - A x).
-
-    With ``damping="optimal"`` the extremal eigenvalues of C^-1 A are
-    estimated first and xi = 2/(lambda_min + lambda_max).
-    """
-    t0 = time.perf_counter()
-    apply_c = precond.apply if precond is not None else (lambda v: v.copy())
-    lam = (None, None)
-    if cfg.damping == "optimal":
-        if precond is not None and not getattr(precond, "symmetric", True):
-            raise ValueError("optimal damping requires a symmetric preconditioner")
-        lam = estimate_extremal_eigs(A, apply_c, seed=cfg.seed)
-        xi = 2.0 / (lam[0] + lam[1])
-    else:
-        xi = float(cfg.damping)
-    tracker = _Tracker(A, b, cfg, exact)
-    x = np.array(x0, dtype=np.float64)
-    report = SolveReport("richardson", 0, False, [], [],
-                         lambda_min=lam[0], lambda_max=lam[1], damping=xi)
-    for k in range(cfg.max_iters + 1):
-        r = b - A @ x
-        if tracker.record(x, r):
-            report.iterations, report.converged = k, True
-            break
-        if tracker.diverged():
-            raise DivergenceError(f"error grew 10x after {k} iterations")
-        if k == cfg.max_iters:
-            report.iterations = k
-            break
+def _richardson(A, b, apply_c, xi, x, r):
+    """Damped preconditioned Richardson: x += xi * C^-1 r, r = b - A x."""
+    while True:
         x += xi * apply_c(r)
-    return _finish(report, t0, x, tracker)
+        r[:] = b - A @ x
+        yield
 
 
-def pcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
-    """Preconditioned conjugate gradients; refuses non-symmetric preconditioners."""
-    t0 = time.perf_counter()
-    if precond is not None and not getattr(precond, "symmetric", True):
-        raise ValueError("preconditioner is not symmetric; use fcg")
-    apply_c = precond.apply if precond is not None else (lambda v: v.copy())
-    tracker = _Tracker(A, b, cfg, exact)
-    x = np.array(x0, dtype=np.float64)
-    r = b - A @ x
-    report = SolveReport("pcg", 0, False, [], [])
-    if tracker.record(x, r):
-        report.converged = True
-        return _finish(report, t0, x, tracker)
+def _descend(A, x, r, p, numerator, k):
+    """x += alpha p and r -= alpha A p with alpha = numerator / (p, A p)."""
+    Ap = A @ p
+    pAp = float(p @ Ap)
+    if pAp <= 0.0:
+        raise BreakdownError(f"nonpositive curvature at iteration {k}")
+    alpha = numerator / pAp
+    x += alpha * p
+    r -= alpha * Ap
+    return Ap, pAp
+
+
+def _pcg(A, apply_c, x, r):
+    """Preconditioned conjugate gradients."""
     z = apply_c(r)
     p = z.copy()
     rz = float(r @ z)
-    for k in range(1, cfg.max_iters + 1):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise BreakdownError(f"nonpositive curvature at iteration {k}")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        report.iterations = k
-        if tracker.record(x, r):
-            report.converged = True
-            break
+    for k in count(1):
+        _descend(A, x, r, p, rz, k)
+        yield
         z = apply_c(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return _finish(report, t0, x, tracker)
 
 
-def fcg(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
+def _fcg(A, apply_c, x, r):
     """Flexible CG: new directions are explicitly A-orthogonalized
     against all stored previous ones, so non-symmetric preconditioners
     are admissible."""
-    t0 = time.perf_counter()
-    apply_c = precond.apply if precond is not None else (lambda v: v.copy())
-    tracker = _Tracker(A, b, cfg, exact)
-    x = np.array(x0, dtype=np.float64)
-    r = b - A @ x
-    report = SolveReport("fcg", 0, False, [], [])
-    if tracker.record(x, r):
-        report.converged = True
-        return _finish(report, t0, x, tracker)
     directions: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for k in range(1, cfg.max_iters + 1):
+    for k in count(1):
         p = apply_c(r)
         for pj, Apj, pApj in directions:
             p = p - (float(p @ Apj) / pApj) * pj
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise BreakdownError(f"nonpositive curvature at iteration {k}")
-        alpha = float(p @ r) / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        Ap, pAp = _descend(A, x, r, p, float(p @ r), k)
         directions.append((p, Ap, pAp))
-        report.iterations = k
-        if tracker.record(x, r):
-            report.converged = True
-            break
-    return _finish(report, t0, x, tracker)
-
-
-_METHODS = {"richardson": richardson, "pcg": pcg, "fcg": fcg}
+        yield
 
 
 def run(A, b, precond, cfg: SolverConfig, x0, exact=None) -> SolveReport:
-    """Dispatch on ``cfg.method``."""
-    return _METHODS[cfg.method](A, b, precond, cfg, x0, exact=exact)
+    """Iterate ``cfg.method`` on A x = b from ``x0``.
+
+    ``precond.apply`` applies C^-1 (the identity when ``precond`` is
+    None).  Richardson and PCG refuse a preconditioner whose
+    ``symmetric`` attribute is false.  Richardson damps with
+    xi = 2/(lambda_min + lambda_max), from the extremal eigenvalues of
+    C^-1 A estimated first, and raises :class:`DivergenceError` once its
+    error has grown tenfold.
+    """
+    t0 = time.perf_counter()
+    if cfg.method != "fcg" and not getattr(precond, "symmetric", True):
+        raise ValueError(
+            f"{cfg.method} needs a symmetric preconditioner; use fcg")
+    apply_c = precond.apply if precond is not None else np.copy
+    report = SolveReport(cfg.method, 0, False, [], [])
+    if cfg.method == "richardson":
+        # before the iterate's vectors exist, so they add nothing to the
+        # estimate's peak memory
+        lam = estimate_extremal_eigs(A, apply_c, seed=cfg.seed)
+        report.lambda_min, report.lambda_max = lam
+        report.damping = 2.0 / (lam[0] + lam[1])
+    tracker = _Tracker(A, b, cfg, exact)
+    x = np.array(x0, dtype=np.float64)
+    r = b - A @ x
+    if cfg.method == "pcg":
+        steps = _pcg(A, apply_c, x, r)
+    elif cfg.method == "fcg":
+        steps = _fcg(A, apply_c, x, r)
+    else:
+        steps = _richardson(A, b, apply_c, report.damping, x, r)
+    report.converged = tracker.record(x, r)
+    if not report.converged:
+        for k, _ in enumerate(islice(steps, cfg.max_iters), 1):
+            report.iterations = k
+            if tracker.record(x, r):
+                report.converged = True
+                break
+            if cfg.method == "richardson" and tracker.diverged():
+                raise DivergenceError(f"error grew 10x after {k} iterations")
+    report.wall_time = time.perf_counter() - t0
+    report.solution = x
+    report.energy_history = tracker.energy_history
+    report.residual_history = tracker.residual_history
+    return report

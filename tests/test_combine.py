@@ -155,6 +155,15 @@ class TestInterpolation:
         got = combine.multilinear_interpolate(levels, vals, x)[0]
         assert got == pytest.approx(2.0 * 0.5 * 0.5)
 
+    @pytest.mark.parametrize("vals", [np.ones((5, 5)), np.ones(9)],
+                             ids=["wrong-shape", "flat"])
+    def test_bad_value_shape_raises(self, vals):
+        pts = [[0.5, 0.5], [0.25, 0.75]]
+        with pytest.raises(ValueError, match=r"levels \(2, 2\)"):
+            combine.multilinear_interpolate((2, 2), vals, pts)
+        with pytest.raises(ValueError, match=r"levels \(2, 2\)"):
+            combine.CombinedSolution([(1, (2, 2), vals)])
+
 
 class TestCombinedSolution:
     def test_constant_telescope_in_bulk(self):
@@ -169,6 +178,19 @@ class TestCombinedSolution:
             ev = combine.CombinedSolution(terms)
             pts = np.random.default_rng(1).uniform(0.25, 0.75, size=(100, d))
             np.testing.assert_allclose(ev(pts), c, atol=1e-12)
+
+    def test_bitwise_equal_to_masked_reference_sum(self):
+        plan = combine.enumerate_plan(3, 5)
+        rng = np.random.default_rng(3)
+        terms = [(coeff, lv, rng.standard_normal(grid.interior_shape(lv)))
+                 for _, coeff, _, lv in plan.terms()]
+        ev = combine.CombinedSolution(terms)
+        pts = rng.uniform(size=(500, 3))
+        want = np.zeros(500)
+        for coeff, lv, vals in terms:
+            want += float(coeff) * masked_interpolate_reference(lv, vals, pts)
+        for _ in range(2):  # the padded grids are reused, not rebuilt
+            assert ev(pts).tobytes() == want.tobytes()
 
     def test_layer_count_alternating_sum_is_one(self):
         for d, level in [(2, 5), (3, 6), (4, 8)]:

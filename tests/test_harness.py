@@ -266,6 +266,8 @@ class TestConfigFile:
         ("gamma-sweep", "gamma = 0.5"),
         ("solve", "method = foo"),
         ("solve", "p = four"),
+        ("solve", "q_rule = srel4"),
+        ("strong-scale", "q_rule = srel4"),
     ])
     def test_value_the_command_cannot_take_is_a_usage_error(
             self, tmp_path, command, line):
@@ -533,6 +535,22 @@ class TestCli:
         assert exc.value.code == 2
         assert "--q-rule fixed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags,csv_name", [
+        (["solve", "--dim", "1", "--level", "12", "--p", "4"], "single.csv"),
+        (["strong-scale", "--level", "12", "--p-values", "4"], "strong.csv"),
+    ])
+    def test_srel4_needs_s(self, tmp_path, capsys, flags, csv_name):
+        with pytest.raises(SystemExit) as exc:
+            harness.main(flags + ["--q-rule", "srel4",
+                                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'srel4'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # without --q-rule these commands use q = 16, srel4's value at S = 8
+        assert harness.main(flags + ["--out", str(tmp_path)]) == 0
+        header, row = (tmp_path / csv_name).read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["q"] == "16"
 
     def test_sfc_check_runs_every_requested_sample(self, monkeypatch):
         seen = []

@@ -54,9 +54,15 @@ class TestEstimateExtremalEigs:
         assert hi == pytest.approx(1.0, abs=1e-10)
 
     def test_lanczos_matches_dense_oracle(self):
-        for levels, p in [((7,), 4), ((4, 4), 4), ((9,), 8)]:
-            Ah, op = model_setup(levels, p, 0.5, 4,
-                                 variant="additive_two_level")
+        # (8,), P=3, gamma=1 unweighted: Ritz values read off PCG's
+        # coefficients give lambda_max 3.0625 here, against a dense 3.0
+        for levels, p, gamma, variant, weighting in [
+                ((7,), 4, 0.5, "additive_two_level", "omega"),
+                ((4, 4), 4, 0.5, "additive_two_level", "omega"),
+                ((9,), 8, 0.5, "additive_two_level", "omega"),
+                ((8,), 3, 1.0, "balanced", "none")]:
+            Ah, op = model_setup(levels, p, gamma, 4, variant=variant,
+                                 weighting=weighting)
             dense = dense_eigs(Ah, op)
             lo, hi = krylov.estimate_extremal_eigs(Ah, op.apply, seed=2)
             assert lo == pytest.approx(dense.min(), rel=1e-6), levels
@@ -120,8 +126,8 @@ class TestRichardson:
         A = grid.assemble_laplacian((3,))
         x_star = np.random.default_rng(0).standard_normal(7)
         b = A @ x_star
-        rep = krylov.richardson(A, b, None, _cfg("richardson", damping=0.1),
-                                x_star.copy(), exact=x_star)
+        rep = krylov.run(A, b, None, _cfg("richardson"), x_star.copy(),
+                         exact=x_star)
         assert rep.iterations == 0 and rep.converged
 
     def test_exact_preconditioner_one_iteration(self):
@@ -130,15 +136,15 @@ class TestRichardson:
         rng = np.random.default_rng(1)
         b = rng.standard_normal(15)
         exact = np.linalg.solve(A.toarray(), b)
-        rep = krylov.richardson(A, b, pre, _cfg("richardson", damping=1.0),
-                                np.zeros(15), exact=exact)
+        rep = krylov.run(A, b, pre, _cfg("richardson"), np.zeros(15),
+                         exact=exact)
         assert rep.iterations == 1 and rep.converged
 
     def test_energy_monotone_with_safe_damping(self):
         Ah, op = model_setup((6,), 4, 0.5, 4)
         x0 = krylov.initial_iterate(63, 42, Ah)
-        rep = krylov.richardson(Ah, np.zeros(63), op, _cfg("richardson"),
-                                x0, exact=np.zeros(63))
+        rep = krylov.run(Ah, np.zeros(63), op, _cfg("richardson"), x0,
+                         exact=np.zeros(63))
         hist = np.array(rep.energy_history)
         assert np.all(np.diff(hist) <= 1e-14)
 
@@ -146,8 +152,8 @@ class TestRichardson:
         Ah, op = model_setup((8,), 4, 0.5, 16)
         n = 255
         x0 = krylov.initial_iterate(n, 42, Ah)
-        rep = krylov.richardson(Ah, np.zeros(n), op, _cfg("richardson"),
-                                x0, exact=np.zeros(n))
+        rep = krylov.run(Ah, np.zeros(n), op, _cfg("richardson"), x0,
+                         exact=np.zeros(n))
         dense = dense_eigs(Ah, op)
         kappa = dense.max() / dense.min()
         rho_star = 1.0 - 2.0 / (1.0 + kappa)
@@ -156,20 +162,22 @@ class TestRichardson:
         measured = np.exp(np.mean(np.log(ratios[-20:])))
         assert measured == pytest.approx(rho_star, abs=0.03)
 
-    def test_divergence_raises(self):
+    def test_divergence_raises(self, monkeypatch):
+        # a too-narrow eigenvalue interval gives xi = 10, far above 2/lambda_max
+        monkeypatch.setattr(krylov, "estimate_extremal_eigs",
+                            lambda A, apply_c, seed: (0.05, 0.15))
         Ah, _ = model_setup((4,), 1, 0.0, 1, variant="one_level")
         x0 = krylov.initial_iterate(15, 42, Ah)
         with pytest.raises(krylov.DivergenceError):
-            krylov.richardson(Ah, np.zeros(15), None,
-                              _cfg("richardson", damping=10.0),
-                              x0, exact=np.zeros(15))
+            krylov.run(Ah, np.zeros(15), None, _cfg("richardson"), x0,
+                       exact=np.zeros(15))
 
     def test_optimal_damping_refuses_nonsymmetric(self):
         Ah, op = model_setup((6,), 8, 0.25, 2, weighting="d_matrix")
         assert not op.symmetric
         with pytest.raises(ValueError):
-            krylov.richardson(Ah, np.zeros(63), op, _cfg("richardson"),
-                              np.zeros(63), exact=np.zeros(63))
+            krylov.run(Ah, np.zeros(63), op, _cfg("richardson"),
+                       np.zeros(63), exact=np.zeros(63))
 
 
 class TestPcg:
@@ -179,7 +187,7 @@ class TestPcg:
         x_star = rng.standard_normal(7)
         b = A @ x_star
         cfg = _cfg("pcg", tolerance=1e-12, tolerance_kind="relative_residual")
-        rep = krylov.pcg(A, b, None, cfg, np.zeros(7))
+        rep = krylov.run(A, b, None, cfg, np.zeros(7))
         assert rep.converged and rep.iterations <= 9
 
     def test_finite_termination_n50(self):
@@ -190,29 +198,28 @@ class TestPcg:
         x_star = rng.standard_normal(50)
         cfg = _cfg("pcg", tolerance=1e-12, tolerance_kind="relative_residual",
                    max_iters=60)
-        rep = krylov.pcg(A, A @ x_star, None, cfg, np.zeros(50))
+        rep = krylov.run(A, A @ x_star, None, cfg, np.zeros(50))
         assert rep.converged and rep.iterations <= 52
 
     def test_refuses_nonsymmetric_preconditioner(self):
         Ah, op = model_setup((6,), 8, 0.25, 2, weighting="d_matrix")
         with pytest.raises(ValueError):
-            krylov.pcg(Ah, np.zeros(63), op, _cfg("pcg"), np.zeros(63),
+            krylov.run(Ah, np.zeros(63), op, _cfg("pcg"), np.zeros(63),
                        exact=np.zeros(63))
 
     def test_dominates_richardson(self):
         Ah, op = model_setup((7,), 4, 0.5, 8)
         x0 = krylov.initial_iterate(127, 42, Ah)
         zero = np.zeros(127)
-        rich = krylov.richardson(Ah, zero, op, _cfg("richardson"), x0,
-                                 exact=zero)
-        cg = krylov.pcg(Ah, zero, op, _cfg("pcg"), x0, exact=zero)
+        rich = krylov.run(Ah, zero, op, _cfg("richardson"), x0, exact=zero)
+        cg = krylov.run(Ah, zero, op, _cfg("pcg"), x0, exact=zero)
         assert cg.converged and rich.converged
         assert cg.iterations <= rich.iterations
 
     def test_deterministic_histories(self):
         Ah, op = model_setup((6,), 4, 0.5, 4)
         x0 = krylov.initial_iterate(63, 42, Ah)
-        reps = [krylov.pcg(Ah, np.zeros(63), op, _cfg("pcg"), x0,
+        reps = [krylov.run(Ah, np.zeros(63), op, _cfg("pcg"), x0,
                            exact=np.zeros(63)) for _ in range(2)]
         assert reps[0].energy_history == reps[1].energy_history
         assert reps[0].residual_history == reps[1].residual_history
@@ -223,8 +230,8 @@ class TestFcg:
         Ah, op = model_setup((6,), 4, 0.5, 4)
         x0 = krylov.initial_iterate(63, 42, Ah)
         zero = np.zeros(63)
-        a = krylov.pcg(Ah, zero, op, _cfg("pcg"), x0, exact=zero)
-        b = krylov.fcg(Ah, zero, op, _cfg("fcg"), x0, exact=zero)
+        a = krylov.run(Ah, zero, op, _cfg("pcg"), x0, exact=zero)
+        b = krylov.run(Ah, zero, op, _cfg("fcg"), x0, exact=zero)
         assert a.iterations == b.iterations
         np.testing.assert_allclose(a.solution, b.solution, atol=1e-10)
         np.testing.assert_allclose(a.energy_history, b.energy_history,
@@ -233,14 +240,14 @@ class TestFcg:
     def test_converges_where_pcg_is_refused(self):
         Ah, op = model_setup((6,), 8, 0.25, 2, weighting="d_matrix")
         x0 = krylov.initial_iterate(63, 42, Ah)
-        rep = krylov.fcg(Ah, np.zeros(63), op, _cfg("fcg"), x0,
+        rep = krylov.run(Ah, np.zeros(63), op, _cfg("fcg"), x0,
                          exact=np.zeros(63))
         assert rep.converged
 
     def test_zero_initial_residual(self):
         A = grid.assemble_laplacian((3,))
         x_star = np.random.default_rng(4).standard_normal(7)
-        rep = krylov.fcg(A, A @ x_star, None, _cfg("fcg"), x_star.copy(),
+        rep = krylov.run(A, A @ x_star, None, _cfg("fcg"), x_star.copy(),
                          exact=x_star)
         assert rep.iterations == 0 and rep.converged
 
@@ -249,7 +256,7 @@ class TestReport:
     def test_csv_serialization(self, tmp_path):
         Ah, op = model_setup((5,), 2, 0.5, 2)
         x0 = krylov.initial_iterate(31, 42, Ah)
-        rep = krylov.pcg(Ah, np.zeros(31), op, _cfg("pcg"), x0,
+        rep = krylov.run(Ah, np.zeros(31), op, _cfg("pcg"), x0,
                          exact=np.zeros(31))
         path = tmp_path / "iters.csv"
         with open(path, "w", newline="") as fh:
@@ -260,7 +267,7 @@ class TestReport:
 
     def test_summary_carries_params(self):
         Ah, op = model_setup((5,), 2, 0.5, 2)
-        rep = krylov.pcg(Ah, np.zeros(31), op, _cfg("pcg"), np.zeros(31),
+        rep = krylov.run(Ah, np.zeros(31), op, _cfg("pcg"), np.zeros(31),
                          exact=np.zeros(31))
         rep.params["P"] = 2
         s = rep.summary()
@@ -287,3 +294,8 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="max_iters"):
         krylov.SolverConfig(max_iters=-3)
     assert krylov.SolverConfig(max_iters=0).max_iters == 0
+
+
+def test_package_exports_resolve():
+    import sfcdd
+    assert [name for name in sfcdd.__all__ if not hasattr(sfcdd, name)] == []
