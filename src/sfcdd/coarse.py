@@ -53,7 +53,7 @@ def build_coarse(part: Partition, A, q: int) -> CoarseSpace:
 
 
 class DeflationOperators:
-    """Coarse correction F = R0^T A0^-1 R0.
+    """Coarse correction F = R0^T A0^-1 R0, without sparse products.
 
     The Schwarz variants build the projections G v = v - A F v and
     G^T v = v - F A v from it; F A F = F holds by the Galerkin
@@ -64,7 +64,14 @@ class DeflationOperators:
         if A.shape[1] != cs.restriction.shape[1]:
             raise ValueError("coarse space size does not match matrix")
         self._cs = cs
+        # the aggregates tile [0, N) in order (see build_coarse): R0 sums
+        # each chunk of consecutive entries, R0^T repeats each coarse value
+        self._sizes = np.diff(cs.restriction.indptr)
+        self._labels = np.repeat(np.arange(cs.n0), self._sizes)
 
     def coarse_correction(self, v: np.ndarray) -> np.ndarray:
+        # bincount adds in index order, as the CSR product R0 @ v does, so
+        # the two are bitwise equal; np.add.reduceat sums pairwise and is not
         cs = self._cs
-        return cs.restriction.T @ cs.factorization.solve(cs.restriction @ v)
+        r0v = np.bincount(self._labels, weights=v, minlength=cs.n0)
+        return np.repeat(cs.factorization.solve(r0v), self._sizes)

@@ -1,10 +1,13 @@
 """Sparse-matrix plumbing: direct factorization, Galerkin triple products.
 
-Matrices are scipy CSR throughout.  Every symmetric positive definite
-block is factorized by one sparse LU (SuperLU) with minimum-degree
-ordering and the pivots kept on the diagonal, so a positive diagonal of
-U is an exact SPD test.  Factorizations are immutable after
-construction and their solves are safe to call concurrently.
+Matrices are scipy CSR, except that the factorization takes any input
+format and passes a CSC matrix to SuperLU as it is, without a copy
+(SuperLU may sort its indices in place).  Every symmetric positive
+definite block is factorized by one sparse LU (SuperLU) with
+minimum-degree ordering and the pivots kept on the diagonal, so a
+positive diagonal of U is an exact SPD test.  Factorizations are
+immutable after construction and their solves are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -26,13 +29,15 @@ class Factorization:
         if n != m:
             raise ValueError(f"matrix is not square: {A.shape}")
         self.n = n
+        if not (sp.issparse(A) and A.format == "csc"):
+            A = sp.csc_matrix(A)
         # minimum-degree on A+A^T: SFC order alone leaves near-full
         # bandwidth for d >= 3 coarse matrices and the LU fill explodes.
         # diag_pivot_thresh=0 keeps every nonzero pivot on the diagonal,
         # so the elimination is that of LDL^T and U's diagonal is D
         try:
             lu = spla.splu(
-                sp.csc_matrix(A),
+                A,
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},

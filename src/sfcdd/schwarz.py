@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .coarse import CoarseSpace, DeflationOperators
 from .linalg import factorize
-from .partition import Partition, compute_weights
+from .partition import CyclicRange, Partition, compute_weights
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
 WEIGHTINGS = ("none", "omega", "d_matrix")
@@ -38,6 +39,39 @@ class SchwarzConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
+
+
+def principal_block(A, rng: CyclicRange) -> sp.csc_matrix:
+    """The block ``A[idx][:, idx]`` for ``idx = rng.indices()``, in CSC.
+
+    Cut straight out of the arrays of the CSR matrix ``A``: the range's
+    rows are one slice of them (two for a range that wraps around N) and
+    a mask keeps the entries whose column lies in the range.  A stable
+    sort by column turns these rows into CSC columns with sorted row
+    indices, so no copy of A in CSC is needed.
+    """
+    n, start, m = rng.modulus, rng.start, rng.length
+    ptr, cols, vals = A.indptr, A.indices, A.data
+    if rng.stop <= n:
+        rowptr = ptr[start:start + m + 1] - ptr[start]
+        cut = slice(ptr[start], ptr[start + m])
+        cols, vals = cols[cut], vals[cut]
+    else:
+        wrap = rng.stop - n
+        rowptr = np.concatenate((ptr[start:n] - ptr[start],
+                                 ptr[:wrap + 1] + (ptr[n] - ptr[start])))
+        head, tail = slice(ptr[start], ptr[n]), slice(0, ptr[wrap])
+        cols = np.concatenate((cols[head], cols[tail]))
+        vals = np.concatenate((vals[head], vals[tail]))
+    # local position of each column; columns outside the range land >= m
+    local = (cols - start) % n
+    keep = local < m
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    row = np.repeat(np.arange(m), np.diff(kept[rowptr]))
+    local, vals = local[keep], vals[keep]
+    order = np.argsort(local, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=m))))
+    return sp.csc_matrix((vals[order], row[order], indptr), shape=(m, m))
 
 
 class SchwarzOperator:
@@ -57,10 +91,10 @@ class SchwarzOperator:
         # _gather[_bounds[i]:_bounds[i + 1]]
         self._gather = np.concatenate([rng.indices() for rng in ranges])
         self._bounds = np.cumsum([0] + [rng.length for rng in ranges]).tolist()
-        self._factorizations = [
-            factorize(A[idx][:, idx].tocsr())
-            for idx in np.split(self._gather, self._bounds[1:-1])
-        ]
+        # each block is cut and factorized before the next is cut
+        csr = A.tocsr()  # A itself when it is CSR
+        self._factorizations = [factorize(principal_block(csr, rng))
+                                for rng in ranges]
         # per-entry weight of the gathered local solutions; None = unweighted
         if config.weighting == "omega":
             self._scale = np.repeat(weights.omega, np.diff(self._bounds))

@@ -162,3 +162,31 @@ class TestDeflation:
         v = rng.standard_normal(49)
         res = self.cs.restriction @ (v - self.A @ self.ops.coarse_correction(v))
         np.testing.assert_allclose(res, np.zeros(self.cs.n0), atol=1e-10)
+
+
+class TestCoarseCorrectionScatter:
+    """bincount/repeat correction against the sparse R0^T A0^-1 R0 v."""
+
+    # (N, P, gamma, q): N mod P != 0 with subdomain sizes not divisible
+    # by q; aggregates of 8 or more entries, where a pairwise sum would
+    # already differ; P = 1; exact division
+    @pytest.mark.parametrize("n,p,gamma,q", [
+        (23, 4, 0.5, 4), (103, 3, 1.0, 2), (41, 1, 0.0, 3), (24, 4, 0.5, 2),
+    ])
+    @pytest.mark.parametrize("matrix", ["random", "laplacian"])
+    def test_bitwise_equal_to_sparse_restriction(self, n, p, gamma, q,
+                                                 matrix):
+        if matrix == "random":
+            A = random_spd_csr(n, n + p)
+        else:
+            A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n),
+                         format="csr")
+        part = build_partition(n, p, gamma)
+        cs = build_coarse(part, A, q)
+        ops = DeflationOperators(cs, A)
+        R0, F = cs.restriction, cs.factorization
+        rng = np.random.default_rng(n * p + q)
+        for v in (rng.standard_normal(n), np.zeros(n),
+                  rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)):
+            expected = R0.T @ F.solve(R0 @ v)
+            np.testing.assert_array_equal(ops.coarse_correction(v), expected)

@@ -80,6 +80,16 @@ class TestFactorize:
             np.testing.assert_allclose(F.solve(b), np.linalg.solve(dense, b),
                                        rtol=1e-9)
 
+    def test_csr_csc_coo_inputs_solve_bitwise_equal(self):
+        A = random_spd(60, 11)
+        b = np.random.default_rng(12).standard_normal(60)
+        csc = A.tocsc()
+        data = csc.data.copy()
+        x = linalg.factorize(A).solve(b)
+        np.testing.assert_array_equal(linalg.factorize(csc).solve(b), x)
+        np.testing.assert_array_equal(linalg.factorize(A.tocoo()).solve(b), x)
+        np.testing.assert_array_equal(csc.data, data)
+
     def test_solve_zero_gives_zero(self):
         A = random_spd(10, 10)
         F = linalg.factorize(A)

@@ -4,11 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sfcdd import grid
+from sfcdd import grid, linalg
 from sfcdd.coarse import build_coarse
-from sfcdd.partition import build_partition, compute_weights
-from sfcdd.schwarz import SchwarzConfig, setup
+from sfcdd.partition import CyclicRange, build_partition, compute_weights
+from sfcdd.schwarz import WEIGHTINGS, SchwarzConfig, principal_block, setup
 
 
 def dense_operator(op):
@@ -53,12 +54,72 @@ def dense_oracle(A, part, cs, variant, weighting):
     return G.T @ C1 @ G + F  # balanced
 
 
+def random_scaled_spd(n, seed):
+    """Sparse SPD with a non-constant diagonal, scaled to unit diagonal.
+
+    The two-sided scaling rounds t_i a_ij t_j and t_j a_ji t_i apart, so
+    the result is symmetric only to roundoff, not bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    B = sp.random(n, n, density=0.15, random_state=rng, format="csr")
+    A = (B @ B.T + sp.diags(rng.uniform(1.0, 9.0, n))).tocsr()
+    A_hat = grid.symmetrize_diag(A, np.zeros(n))[0]
+    assert (A_hat != A_hat.T).nnz > 0
+    return A_hat
+
+
+def reference_block(A, idx):
+    """The block by fancy indexing: the oracle for principal_block."""
+    return A[idx][:, idx]
+
+
 def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
     A = grid.assemble_laplacian(levels)
     part = build_partition(A.shape[0], p, gamma)
     cs = build_coarse(part, A, q) if variant != "one_level" else None
     cfg = SchwarzConfig(variant=variant, weighting=weighting)
     return A, part, cs, setup(A, part, cs, cfg)
+
+
+class TestPrincipalBlock:
+    @staticmethod
+    def assert_same_block(block, A, rng):
+        ref = reference_block(A, rng.indices()).tocsc()
+        assert ref.has_sorted_indices
+        assert block.format == "csc"
+        assert block.shape == ref.shape
+        np.testing.assert_array_equal(block.indptr, ref.indptr)
+        np.testing.assert_array_equal(block.indices, ref.indices)
+        np.testing.assert_array_equal(block.data, ref.data)
+
+    @pytest.mark.parametrize("gamma", [0, 0.25, 0.5, 1, 1.5])
+    @pytest.mark.parametrize("matrix", ["laplacian", "random"])
+    def test_matches_fancy_indexing(self, matrix, gamma):
+        if matrix == "laplacian":
+            A = grid.assemble_laplacian((3, 4))
+        else:
+            A = random_scaled_spd(44, 1)
+        n = A.shape[0]
+        part = build_partition(n, 5, gamma)
+        # every gamma > 0 enlarges the first range across index 0
+        assert (part.overlapped[0].stop > n) == (gamma > 0)
+        for rng in part.overlapped:
+            self.assert_same_block(principal_block(A, rng), A, rng)
+
+    @pytest.mark.parametrize("p,gamma", [(1, 0), (3, 1)])
+    def test_full_length_range(self, p, gamma):
+        # P = 1 gives [0, N); P = 3, gamma = 1 gives ranges of length N
+        # that start inside and wrap
+        A = random_scaled_spd(31, 2)
+        part = build_partition(31, p, gamma)
+        assert all(r.length == 31 for r in part.overlapped)
+        for rng in part.overlapped:
+            self.assert_same_block(principal_block(A, rng), A, rng)
+
+    def test_short_wrapping_range(self):
+        A = random_scaled_spd(20, 3)
+        rng = CyclicRange(17, 6, 20)
+        self.assert_same_block(principal_block(A, rng), A, rng)
 
 
 class TestSetup:
@@ -168,6 +229,27 @@ class TestApply:
             for i, (r, f) in enumerate(zip(part.overlapped,
                                            op._factorizations)):
                 idx = r.indices()
+                sol = f.solve(g[idx])
+                if weighting == "omega":
+                    sol = weights.omega[i] * sol
+                elif weighting == "d_matrix":
+                    sol = weights.diagonals[i] * sol
+                expected[idx] += sol
+            assert np.array_equal(op.apply(g), expected)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_one_level_bitwise_equal_with_reference_blocks(self, weighting):
+        A = random_scaled_spd(44, 4)
+        part = build_partition(44, 5, 1.5)
+        op = setup(A, part, None, SchwarzConfig("one_level", weighting))
+        weights = compute_weights(part)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            g = rng.standard_normal(44)
+            expected = np.zeros(44)
+            for i, r in enumerate(part.overlapped):
+                idx = r.indices()
+                f = linalg.factorize(reference_block(A, idx).tocsr())
                 sol = f.solve(g[idx])
                 if weighting == "omega":
                     sol = weights.omega[i] * sol
