@@ -13,7 +13,7 @@ from .partition import (CyclicRange, OverlapWeights, Partition,
                         build_partition, compute_weights, disjoint_partition,
                         enlarge)
 from .schwarz import SchwarzConfig, SchwarzOperator, setup
-from .sfc import CurveConfig, decode, encode, grid_point_key, holder_estimate
+from .sfc import CurveConfig, holder_estimate
 
 __all__ = [
     "coarse", "combine", "grid", "krylov", "linalg", "partition", "schwarz",
@@ -29,7 +29,7 @@ __all__ = [
     "CyclicRange", "OverlapWeights", "Partition", "build_partition",
     "compute_weights", "disjoint_partition", "enlarge",
     "SchwarzConfig", "SchwarzOperator", "setup",
-    "CurveConfig", "decode", "encode", "grid_point_key", "holder_estimate",
+    "CurveConfig", "holder_estimate",
 ]
 
 __version__ = "0.1.0"

@@ -261,23 +261,24 @@ def run_combine_experiment(spec: ExperimentSpec) -> tuple[list[dict], dict]:
 
 def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
     """Bijectivity/adjacency/Holder diagnostics per refinement level."""
-    rows = []
     d = spec.dim
+    try:  # the finest curve bounds the key width of every level
+        sfc.CurveConfig(d, spec.level)
+    except ValueError as exc:
+        raise ValueError(f"--dim {d} --level {spec.level}: {exc}") from None
+    if spec.sample_count < 2:
+        raise ValueError("--samples must be at least 2 for the Holder "
+                         f"estimate, got {spec.sample_count}")
+    rows = []
     for n in range(1, spec.level + 1):
         cfg = sfc.CurveConfig(d, n)
         if cfg.key_bits <= 18:
             diag = sfc.curve_diagnostics(cfg)
         else:  # spot check: round trips and unit steps on random key pairs
             rng = np.random.default_rng(spec.seed)
-            ok_bij = ok_adj = True
             last = (1 << cfg.key_bits) - 1  # key + 1 must stay on the curve
-            for key in sfc.random_keys(rng, cfg.key_bits, 1000):
-                key %= last
-                c = sfc.decode(key, cfg)
-                ok_bij &= sfc.encode(c, cfg) == key
-                c2 = sfc.decode(key + 1, cfg)
-                ok_adj &= sum(abs(a - b) for a, b in zip(c, c2)) == 1
-            diag = {"bijective": ok_bij, "adjacent": ok_adj}
+            diag = sfc.spot_check(cfg, [k % last for k in sfc.random_keys(
+                rng, cfg.key_bits, 1000)])
         est = sfc.holder_estimate(cfg, spec.sample_count, seed=spec.seed)
         rows.append({
             "d": d, "n": n, "bijective": int(diag["bijective"]),

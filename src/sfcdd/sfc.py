@@ -7,17 +7,15 @@ Grid points of anisotropic tensor grids are ordered by embedding them
 into the isotropic lattice of the finest axis resolution and encoding
 the embedded coordinates.
 
-Keys may need up to 128 bits (e.g. dim=6 at fine levels).  The scalar
-:func:`encode`/:func:`decode` pair works on plain Python integers; the
-array pair :func:`encode_many`/:func:`decode_many` runs the same
-algorithm on whole ``uint64`` arrays of points and holds each key as a
-(hi, lo) pair of ``uint64`` words.
+Keys may need up to 128 bits (e.g. dim=6 at fine levels).
+:func:`encode_many`/:func:`decode_many` work on whole ``uint64`` arrays
+of points and hold each key as a (hi, lo) pair of ``uint64`` words;
+:func:`key_words` splits Python integer keys into such a pair.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,111 +51,13 @@ class CurveConfig:
         return 1 << self.bits
 
 
-# The encode/decode pair below works on the "transpose" form of the key:
-# the nd key bits, read from the most significant one downwards, are dealt
-# out cyclically over the d axis words.  Both directions first fix up the
-# per-level rotations/reflections of the recursive construction and then
-# apply (or undo) a Gray code.
-
-def _axes_to_transpose(x: list[int], bits: int) -> None:
-    n = len(x)
-    m = 1 << (bits - 1)
-    q = m
-    while q > 1:
-        p = q - 1
-        for i in range(n):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q >>= 1
-    for i in range(1, n):
-        x[i] ^= x[i - 1]
-    t = 0
-    q = m
-    while q > 1:
-        if x[n - 1] & q:
-            t ^= q - 1
-        q >>= 1
-    for i in range(n):
-        x[i] ^= t
-
-
-def _transpose_to_axes(x: list[int], bits: int) -> None:
-    n = len(x)
-    t = x[n - 1] >> 1
-    for i in range(n - 1, 0, -1):
-        x[i] ^= x[i - 1]
-    x[0] ^= t
-    q = 2
-    top = 1 << bits
-    while q != top:
-        p = q - 1
-        for i in range(n - 1, -1, -1):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q <<= 1
-
-
-def _pack_transpose(x: list[int], bits: int) -> int:
-    key = 0
-    for level in range(bits - 1, -1, -1):
-        for w in x:
-            key = (key << 1) | ((w >> level) & 1)
-    return key
-
-
-def _unpack_transpose(key: int, dim: int, bits: int) -> list[int]:
-    x = [0] * dim
-    for level in range(bits):
-        base = level * dim + dim - 1
-        for i in range(dim):
-            if (key >> (base - i)) & 1:
-                x[i] |= 1 << level
-    return x
-
-
-def encode(coords, cfg: CurveConfig) -> int:
-    """Map lattice coordinates to their Hilbert key.
-
-    Bijective from [0, 2**bits)**dim onto [0, 2**(bits*dim)); consecutive
-    keys correspond to cells one lattice step apart.
-    """
-    x = list(coords)
-    if len(x) != cfg.dim:
-        raise ValueError(f"expected {cfg.dim} coordinates, got {len(x)}")
-    side = cfg.side
-    for c in x:
-        if not 0 <= c < side:
-            raise ValueError(f"coordinate {c} outside [0, {side})")
-    if cfg.dim == 1:
-        return x[0]
-    _axes_to_transpose(x, cfg.bits)
-    return _pack_transpose(x, cfg.bits)
-
-
-def decode(key: int, cfg: CurveConfig) -> tuple[int, ...]:
-    """Inverse of :func:`encode`."""
-    if not 0 <= key < (1 << cfg.key_bits):
-        raise ValueError(f"key {key} outside [0, 2**{cfg.key_bits})")
-    if cfg.dim == 1:
-        return (key,)
-    x = _unpack_transpose(key, cfg.dim, cfg.bits)
-    _transpose_to_axes(x, cfg.bits)
-    return tuple(x)
-
-
-# The array pair below runs the same transpose algorithm (Skilling,
-# "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004) on whole
+# encode_many/decode_many run the transpose algorithm of Skilling
+# ("Programming the Hilbert curve", AIP Conf. Proc. 707, 2004) on whole
 # (dim, N) uint64 arrays, one point per column; the per-point branch on a
-# bit becomes np.where.  Key bit ``level * dim + dim - 1 - i`` holds bit
-# ``level`` of transposed word i, in ``lo`` below bit 64 and ``hi`` above.
+# bit becomes np.where.  The dim * bits key bits, read from the most
+# significant one down, are dealt out cyclically over the dim axis words:
+# key bit ``level * dim + dim - 1 - i`` holds bit ``level`` of transposed
+# word i, in ``lo`` below bit 64 and ``hi`` above.
 
 def _exchange(x: np.ndarray, q: int, order) -> None:
     """One level q of the rotations, every column at once.
@@ -187,9 +87,10 @@ def _check_array_curve(dim: int, bits: int) -> None:
 def encode_many(coords, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Hilbert keys of the columns of a (dim, N) coordinate array.
 
-    Returns the keys as uint64 words (hi, lo): the key of column k is
-    ``int(hi[k]) << 64 | int(lo[k])``, equal to
-    ``encode(coords[:, k], CurveConfig(dim, bits))``.
+    Bijective from [0, 2**bits)**dim onto [0, 2**(dim*bits)), and
+    consecutive keys belong to cells one lattice step apart.  Returns the
+    keys as uint64 words (hi, lo): the key of column k is
+    ``int(hi[k]) << 64 | int(lo[k])``.
     """
     x = np.array(coords, dtype=np.uint64)  # a copy, transformed in place
     if x.ndim != 2:
@@ -257,29 +158,10 @@ def decode_many(key, dim: int, bits: int) -> np.ndarray:
     return x
 
 
-def grid_point_key(multi_index, levels) -> int:
-    """Hilbert key of an interior grid point of an anisotropic grid.
-
-    Axis ``j`` of the grid has ``2**levels[j] - 1`` interior points with
-    1-based indices.  Coarser axes are embedded into the lattice of the
-    finest axis by scaling with ``2**(max(levels) - levels[j])``, which
-    keeps the per-axis order and makes distinct points map to distinct
-    keys.
-    """
-    ell, idx = tuple(levels), tuple(multi_index)
-    if not all(isinstance(v, numbers.Integral) for v in ell + idx):
-        raise ValueError(f"level vector {levels} and multi-index {multi_index} "
-                         "must have integer entries")
-    ell, idx = tuple(int(v) for v in ell), tuple(int(v) for v in idx)
-    if len(idx) != len(ell):
-        raise ValueError("multi-index and level vector have different lengths")
-    for k, lj in zip(idx, ell):
-        if not 1 <= k <= (1 << lj) - 1:
-            raise ValueError(f"index {k} outside interior range of level {lj}")
-    n = max(ell)
-    cfg = CurveConfig(len(ell), n)
-    coords = tuple((k - 1) << (n - lj) for k, lj in zip(idx, ell))
-    return encode(coords, cfg)
+def key_words(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Python integer keys in [0, 2**128) as uint64 words (hi, lo)."""
+    return (np.array([k >> 64 for k in keys], dtype=np.uint64),
+            np.array([k & _LOW_WORD for k in keys], dtype=np.uint64))
 
 
 def holder_bound(dim: int) -> float:
@@ -319,9 +201,7 @@ def holder_estimate(cfg: CurveConfig, samples: int, seed: int = 0) -> float:
     if cfg.dim == 1:  # the identity; its keys can outgrow decode_many's 64 bits
         points = [(k,) for k in keys]
     else:
-        words = (np.array([k >> 64 for k in keys], dtype=np.uint64),
-                 np.array([k & _LOW_WORD for k in keys], dtype=np.uint64))
-        points = decode_many(words, cfg.dim, cfg.bits).T.tolist()
+        points = decode_many(key_words(keys), cfg.dim, cfg.bits).T.tolist()
     inv_side = 1.0 / cfg.side
     inv_total = math.ldexp(1.0, -cfg.key_bits)
     exponent = 1.0 / cfg.dim
@@ -359,3 +239,18 @@ def curve_diagnostics(cfg: CurveConfig) -> dict:
         adjacent &= bool(np.all(np.abs(np.diff(walk, axis=1)).sum(axis=0) == 1))
         prev = walk[:, -1:]
     return {"bijective": bijective, "adjacent": adjacent}
+
+
+def spot_check(cfg: CurveConfig, keys) -> dict:
+    """:func:`curve_diagnostics` at the given keys k only: the cell of k
+    encodes back to k and lies one lattice step from the cell of k + 1."""
+    if cfg.dim == 1:  # the identity; its keys can outgrow decode_many's 64 bits
+        return {"bijective": True, "adjacent": True}
+    words = key_words(keys)
+    c = decode_many(words, cfg.dim, cfg.bits)
+    c2 = decode_many(key_words([k + 1 for k in keys]), cfg.dim, cfg.bits)
+    # |c - c2| in uint64: an int64 cast would wrap a jump of 2**64 - 1 to 1
+    step = np.maximum(c, c2) - np.minimum(c, c2)
+    bijective = all(map(np.array_equal, encode_many(c, cfg.bits), words))
+    adjacent = np.all(step <= 1) and np.all(step.sum(axis=0) == 1)
+    return {"bijective": bijective, "adjacent": bool(adjacent)}

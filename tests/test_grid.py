@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfcdd import grid, linalg, sfc
+from hilbert_reference import grid_point_key
+from sfcdd import grid, linalg
 
 
 def dense_laplacian_oracle(levels):
@@ -32,7 +33,7 @@ def dense_laplacian_oracle(levels):
 def scalar_key_permutation(levels):
     """SFC order as a sort of the points by their scalar Hilbert keys."""
     shape = grid.interior_shape(levels)
-    keys = [sfc.grid_point_key(tuple(i + 1 for i in idx), levels)
+    keys = [grid_point_key(tuple(i + 1 for i in idx), levels)
             for idx in product(*(range(s) for s in shape))]
     return np.array(sorted(range(len(keys)), key=keys.__getitem__))
 

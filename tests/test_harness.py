@@ -360,6 +360,53 @@ class TestCli:
         assert [r["n"] for r in rows] == [1, 2, 3]  # keys of 22, 44, 66 bits
         assert all(r["bijective"] == 1 and r["adjacent"] == 1 for r in rows)
 
+    def test_sfc_check_reports_a_broken_round_trip(self, monkeypatch):
+        encode_many = harness.sfc.encode_many
+
+        def off_by_one(coords, bits):
+            hi, lo = encode_many(coords, bits)
+            return hi, lo + np.uint64(1)
+        monkeypatch.setattr(harness.sfc, "encode_many", off_by_one)
+        rows = harness.run_sfc_check(harness.ExperimentSpec(
+            kind="sfc_check", dim=22, level=1, sample_count=50))
+        assert [(r["bijective"], r["adjacent"]) for r in rows] == [(0, 1)]
+
+    def test_sfc_check_reports_a_broken_step(self, monkeypatch):
+        # the spot check decodes the keys k first and k + 1 second; swap
+        # two axes of the cells of k + 1 only
+        decode_many = harness.sfc.decode_many
+        calls = []
+
+        def swap_second(key, dim, bits):
+            x = decode_many(key, dim, bits)
+            calls.append(dim)
+            if len(calls) == 2:
+                x[[0, 1]] = x[[1, 0]]
+            return x
+        monkeypatch.setattr(harness.sfc, "decode_many", swap_second)
+        rows = harness.run_sfc_check(harness.ExperimentSpec(
+            kind="sfc_check", dim=22, level=1, sample_count=50))
+        assert len(calls) == 3  # k, k + 1, then the Holder estimate
+        assert [(r["bijective"], r["adjacent"]) for r in rows] == [(1, 0)]
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--dim", "4", "--level", "33"),
+         "--dim 4 --level 33: key width 132 exceeds 128 bits"),
+        (("--dim", "7", "--level", "19"),
+         "--dim 7 --level 19: key width 133 exceeds 128 bits"),
+        (("--dim", "2", "--level", "3", "--samples", "1"),
+         "--samples must be at least 2"),
+    ])
+    def test_sfc_check_bad_input_fails_before_the_first_level(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        levels = []
+        monkeypatch.setattr(harness.sfc, "curve_diagnostics", levels.append)
+        code = harness.main(["sfc-check", *flags, "--out", str(tmp_path)])
+        assert code == 1
+        assert message in json.loads(capsys.readouterr().err.strip())["error"]
+        assert levels == []
+        assert not (tmp_path / "sfc_check.csv").exists()
+
     def test_module_entry_point_runs_without_runpy_warning(self, tmp_path):
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ)

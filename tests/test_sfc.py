@@ -1,4 +1,5 @@
-"""Hilbert-curve encode/decode properties and grid-point key embedding."""
+"""Hilbert-curve properties of the array encode/decode, checked against the
+scalar reference in hilbert_reference, and grid-point key embedding."""
 
 import math
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbert_reference import decode, encode, grid_point_key
 from sfcdd import sfc
 
 
 def brute_force_curve(cfg):
     """Decode every key; independent walk used as the adjacency oracle."""
-    return [sfc.decode(k, cfg) for k in range(1 << cfg.key_bits)]
+    return [decode(k, cfg) for k in range(1 << cfg.key_bits)]
 
 
 def test_d2_n1_visits_cells_in_frozen_order():
@@ -37,8 +39,8 @@ def test_bijective_and_unit_step_adjacent(d, n):
     seen = set()
     prev = None
     for key in range(1 << cfg.key_bits):
-        coords = sfc.decode(key, cfg)
-        assert sfc.encode(coords, cfg) == key
+        coords = decode(key, cfg)
+        assert encode(coords, cfg) == key
         seen.add(coords)
         if prev is not None:
             assert sum(abs(a - b) for a, b in zip(coords, prev)) == 1
@@ -54,18 +56,18 @@ def test_d3_n2_bijection_all_steps_unit():
 def test_d1_is_identity():
     cfg = sfc.CurveConfig(1, 4)
     for k in range(16):
-        assert sfc.encode((k,), cfg) == k
-        assert sfc.decode(k, cfg) == (k,)
+        assert encode((k,), cfg) == k
+        assert decode(k, cfg) == (k,)
 
 
 def test_encode_rejects_out_of_range():
     cfg = sfc.CurveConfig(2, 2)
     with pytest.raises(ValueError):
-        sfc.encode((4, 0), cfg)
+        encode((4, 0), cfg)
     with pytest.raises(ValueError):
-        sfc.encode((0, -1), cfg)
+        encode((0, -1), cfg)
     with pytest.raises(ValueError):
-        sfc.decode(16, cfg)
+        decode(16, cfg)
 
 
 def test_config_validation():
@@ -80,30 +82,30 @@ def test_config_validation():
 def test_keys_can_exceed_64_bits():
     cfg = sfc.CurveConfig(6, 11)  # 66-bit keys
     coords = tuple((1 << 11) - 1 for _ in range(6))
-    key = sfc.encode(coords, cfg)
+    key = encode(coords, cfg)
     assert key < 1 << 66
-    assert sfc.decode(key, cfg) == coords
-    assert max(sfc.encode(c, cfg) for c in [coords, (0,) * 6, (2047, 0) * 3]) >= 1 << 63
+    assert decode(key, cfg) == coords
+    assert max(encode(c, cfg) for c in [coords, (0,) * 6, (2047, 0) * 3]) >= 1 << 63
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=7), min_size=4, max_size=4))
 def test_round_trip_d4_n3(coords):
     cfg = sfc.CurveConfig(4, 3)
-    assert sfc.decode(sfc.encode(coords, cfg), cfg) == tuple(coords)
+    assert decode(encode(coords, cfg), cfg) == tuple(coords)
 
 
 def test_round_trip_random_d4_n3_bulk():
     cfg = sfc.CurveConfig(4, 3)
     rng = np.random.default_rng(7)
     for coords in rng.integers(0, 8, size=(1000, 4)):
-        key = sfc.encode(coords, cfg)
-        assert sfc.decode(key, cfg) == tuple(int(c) for c in coords)
+        key = encode(coords, cfg)
+        assert decode(key, cfg) == tuple(int(c) for c in coords)
 
 
 def test_decode_examples():
-    assert sfc.decode(0, sfc.CurveConfig(2, 1)) == (0, 0)
-    assert sfc.decode(7, sfc.CurveConfig(1, 4)) == (7,)
+    assert decode(0, sfc.CurveConfig(2, 1)) == (0, 0)
+    assert decode(7, sfc.CurveConfig(1, 4)) == (7,)
 
 
 def as_key(hi, lo, k):
@@ -135,7 +137,7 @@ class TestEncodeMany:
                                dim, bits, 300)
         hi, lo = sfc.encode_many(coords, bits)
         for k in range(coords.shape[1]):
-            expected = sfc.encode([int(c) for c in coords[:, k]], cfg)
+            expected = encode([int(c) for c in coords[:, k]], cfg)
             assert as_key(hi, lo, k) == expected
 
     @pytest.mark.parametrize("dim,bits", CURVES)
@@ -149,11 +151,10 @@ class TestEncodeMany:
         np.testing.assert_array_equal(back, coords)
         rng = np.random.default_rng(bits)
         keys = sfc.random_keys(rng, cfg.key_bits, 300)
-        hi = np.array([k >> 64 for k in keys], dtype=np.uint64)
-        lo = np.array([k & ((1 << 64) - 1) for k in keys], dtype=np.uint64)
+        hi, lo = sfc.key_words(keys)
         cells = sfc.decode_many((hi, lo), dim, bits)
         for k, key_k in enumerate(keys):
-            assert tuple(int(c) for c in cells[:, k]) == sfc.decode(key_k, cfg)
+            assert tuple(int(c) for c in cells[:, k]) == decode(key_k, cfg)
         hi2, lo2 = sfc.encode_many(cells, bits)
         np.testing.assert_array_equal(hi2, hi)
         np.testing.assert_array_equal(lo2, lo)
@@ -165,7 +166,7 @@ class TestEncodeMany:
         hi, lo = sfc.encode_many(coords, 1)
         assert not hi.any()
         for k in range(coords.shape[1]):
-            assert int(lo[k]) == sfc.encode([int(c) for c in coords[:, k]], cfg)
+            assert int(lo[k]) == encode([int(c) for c in coords[:, k]], cfg)
         assert sorted(lo.tolist()) == list(range(1 << dim))
         lo_keys = np.arange(1 << dim, dtype=np.uint64)
         walk = sfc.decode_many((np.zeros_like(lo_keys), lo_keys), dim, 1)
@@ -188,6 +189,74 @@ class TestEncodeMany:
             sfc.decode_many(([0], [16]), 2, 2)
         with pytest.raises(ValueError):
             sfc.decode_many(([1 << 2], [0]), 6, 11)  # 66-bit key width
+
+
+@pytest.mark.parametrize("key_bits", [1, 63, 64, 65, 128])
+def test_key_words_round_trip(key_bits):
+    keys = [0, (1 << key_bits) - 1,
+            *sfc.random_keys(np.random.default_rng(key_bits), key_bits, 200)]
+    hi, lo = sfc.key_words(keys)
+    assert hi.dtype == lo.dtype == np.uint64
+    assert hi.shape == lo.shape == (len(keys),)
+    assert [as_key(hi, lo, k) for k in range(len(keys))] == keys
+    if key_bits <= 64:
+        assert not hi.any()
+
+
+def spot_check_reference(cfg, keys):
+    """The loop that spot_check replaced: scalar round trips and unit steps,
+    key by key."""
+    ok_bij = ok_adj = True
+    for key in keys:
+        c = decode(key, cfg)
+        ok_bij &= encode(c, cfg) == key
+        c2 = decode(key + 1, cfg)
+        ok_adj &= sum(abs(a - b) for a, b in zip(c, c2)) == 1
+    return {"bijective": ok_bij, "adjacent": ok_adj}
+
+
+class TestSpotCheck:
+    @staticmethod
+    def keys_of(cfg, seed):
+        """The 1,000 keys sfc-check draws, each with key + 1 on the curve."""
+        last = (1 << cfg.key_bits) - 1
+        return [k % last for k in
+                sfc.random_keys(np.random.default_rng(seed), cfg.key_bits, 1000)]
+
+    # 80-, 66-, 126- and 66-bit keys
+    @pytest.mark.parametrize("dim,bits", [(2, 40), (6, 11), (6, 21), (22, 3)])
+    def test_matches_scalar_reference_key_by_key(self, dim, bits):
+        cfg = sfc.CurveConfig(dim, bits)
+        keys = self.keys_of(cfg, dim * 100 + bits)
+        assert sfc.spot_check(cfg, keys) == spot_check_reference(cfg, keys) \
+            == {"bijective": True, "adjacent": True}
+        for shift in (0, 1):  # the cells of k and of k + 1
+            cells = sfc.decode_many(sfc.key_words([k + shift for k in keys]),
+                                    dim, bits)
+            for j, key in enumerate(keys):
+                assert tuple(int(c) for c in cells[:, j]) == \
+                    decode(key + shift, cfg)
+
+    def test_d1_up_to_128_bits_is_the_identity(self, monkeypatch):
+        monkeypatch.setattr(sfc, "decode_many", None)  # never decoded
+        cfg = sfc.CurveConfig(1, 128)
+        assert sfc.spot_check(cfg, self.keys_of(cfg, 0)) == {
+            "bijective": True, "adjacent": True}
+
+    def test_wrapped_jump_across_the_lattice_is_not_a_step(self, monkeypatch):
+        # at bits = 64 the cells 0 and 2**64 - 1 differ by 1 in int64
+        calls = []
+
+        def decode_many(key, dim, bits):
+            calls.append(key)
+            x = np.zeros((dim, len(key[1])), dtype=np.uint64)
+            if len(calls) == 2:
+                x[0] = np.iinfo(np.uint64).max
+            return x
+        monkeypatch.setattr(sfc, "decode_many", decode_many)
+        diag = sfc.spot_check(sfc.CurveConfig(2, 64), [0, 5])
+        assert len(calls) == 2
+        assert diag["adjacent"] is False
 
 
 class TestCurveDiagnostics:
@@ -220,8 +289,8 @@ class TestGridPointKey:
         cfg = sfc.CurveConfig(2, 3)
         for k1 in range(1, 8):
             for k2 in range(1, 8):
-                expected = sfc.encode((k1 - 1, k2 - 1), cfg)
-                assert sfc.grid_point_key((k1, k2), levels) == expected
+                expected = encode((k1 - 1, k2 - 1), cfg)
+                assert grid_point_key((k1, k2), levels) == expected
 
     def test_anisotropic_scales_coarse_axis(self):
         # l=(2,3): axis-1 indices are stretched by 2 on the level-3 lattice
@@ -229,12 +298,12 @@ class TestGridPointKey:
         cfg = sfc.CurveConfig(2, 3)
         for k1 in range(1, 4):
             for k2 in range(1, 8):
-                expected = sfc.encode(((k1 - 1) * 2, k2 - 1), cfg)
-                assert sfc.grid_point_key((k1, k2), levels) == expected
+                expected = encode(((k1 - 1) * 2, k2 - 1), cfg)
+                assert grid_point_key((k1, k2), levels) == expected
 
     def test_all_21_interior_points_of_l23_distinct(self):
         levels = (2, 3)
-        keys = {sfc.grid_point_key((k1, k2), levels)
+        keys = {grid_point_key((k1, k2), levels)
                 for k1 in range(1, 4) for k2 in range(1, 8)}
         assert len(keys) == 21
 
@@ -250,22 +319,22 @@ class TestGridPointKey:
                 if any(kj > (1 << lj) - 1 for kj, lj in zip(k, levels)):
                     continue
                 pts.add(k)
-                keys.add(sfc.grid_point_key(k, levels))
+                keys.add(grid_point_key(k, levels))
             assert len(keys) == len(pts)
 
     def test_rejects_boundary_indices(self):
         with pytest.raises(ValueError):
-            sfc.grid_point_key((0, 1), (2, 2))
+            grid_point_key((0, 1), (2, 2))
         with pytest.raises(ValueError):
-            sfc.grid_point_key((4, 1), (2, 2))
+            grid_point_key((4, 1), (2, 2))
 
     def test_rejects_non_integer_entries(self):
         with pytest.raises(ValueError, match="integer"):
-            sfc.grid_point_key((1.5, 1), (2, 2))
+            grid_point_key((1.5, 1), (2, 2))
         with pytest.raises(ValueError, match="integer"):
-            sfc.grid_point_key((1, 1), (2, 2.5))
-        assert sfc.grid_point_key(np.array([1, 2]), np.array([2, 2])) == \
-            sfc.grid_point_key((1, 2), (2, 2))
+            grid_point_key((1, 1), (2, 2.5))
+        assert grid_point_key(np.array([1, 2]), np.array([2, 2])) == \
+            grid_point_key((1, 2), (2, 2))
 
 
 def random_key_reference(rng, key_bits):
@@ -287,8 +356,8 @@ def holder_estimate_reference(cfg, samples, seed=0):
         k2 = random_key_reference(rng, cfg.key_bits)
         if k1 == k2:
             continue
-        p1 = sfc.decode(k1, cfg)
-        p2 = sfc.decode(k2, cfg)
+        p1 = decode(k1, cfg)
+        p2 = decode(k2, cfg)
         dist = math.sqrt(
             sum((a - b) * (a - b) for a, b in zip(p1, p2))
         ) * inv_side
