@@ -9,20 +9,22 @@ with C^-1 the (weighted) one-level operator, F/G from :mod:`sfcdd.coarse`
 and the coarse term always unweighted.  Weightings: none, a scalar
 omega_i per subdomain, or the full partition-of-unity diagonals.  The
 one-level term is one gather of all overlapped ranges, P local solves
-and one weighted scatter.  The diagonal weighting yields a symmetric
+and one weighted scatter.  Ranges whose blocks are bitwise equal share
+one factorization.  The diagonal weighting yields a symmetric
 operator exactly when every D_i is a multiple of the identity; otherwise
 the operator is flagged non-symmetric.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .coarse import CoarseSpace, DeflationOperators
-from .linalg import factorize
+from .linalg import Factorization, factorize
 from .partition import CyclicRange, Partition, compute_weights
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
@@ -74,6 +76,43 @@ def principal_block(A, rng: CyclicRange) -> sp.csc_matrix:
     return sp.csc_matrix((vals[order], row[order], indptr), shape=(m, m))
 
 
+def block_digest(block: sp.csc_matrix) -> bytes:
+    """A 16-byte hash of the CSC arrays; equal blocks hash equal."""
+    h = hashlib.blake2b(digest_size=16)
+    for arr in (block.indptr, block.indices, block.data):
+        h.update(arr)  # the array's buffer, without a bytes copy
+    return h.digest()
+
+
+def _same_bits(x: sp.csc_matrix, y: sp.csc_matrix) -> bool:
+    """Whether the CSC arrays are equal bit for bit (0.0 and -0.0 differ)."""
+    return all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
+               for a, b in ((x.indptr, y.indptr), (x.indices, y.indices),
+                            (x.data, y.data)))
+
+
+def _factorize_distinct(A, ranges) -> list[Factorization]:
+    """One factorization per range; bitwise-equal blocks share one.
+
+    A range whose block hashes like an earlier distinct block is compared
+    with that block, cut again from ``A``, so no block is kept after its
+    factorization and a hash collision never shares a wrong factor.
+    """
+    factors = []
+    distinct: dict[bytes, list[int]] = {}  # digest -> ranges factorized
+    for i, rng in enumerate(ranges):
+        block = principal_block(A, rng)
+        key = block_digest(block)
+        for j in distinct.get(key, ()):
+            if _same_bits(block, principal_block(A, ranges[j])):
+                factors.append(factors[j])
+                break
+        else:
+            distinct.setdefault(key, []).append(i)
+            factors.append(factorize(block))
+    return factors
+
+
 class SchwarzOperator:
     """Immutable preconditioner application; see :func:`setup`."""
 
@@ -91,10 +130,9 @@ class SchwarzOperator:
         # _gather[_bounds[i]:_bounds[i + 1]]
         self._gather = np.concatenate([rng.indices() for rng in ranges])
         self._bounds = np.cumsum([0] + [rng.length for rng in ranges]).tolist()
-        # each block is cut and factorized before the next is cut
-        csr = A.tocsr()  # A itself when it is CSR
-        self._factorizations = [factorize(principal_block(csr, rng))
-                                for rng in ranges]
+        # one entry per range; each block is cut and factorized (or
+        # matched) before the next is cut; A.tocsr() is A when A is CSR
+        self._factorizations = _factorize_distinct(A.tocsr(), ranges)
         # per-entry weight of the gathered local solutions; None = unweighted
         if config.weighting == "omega":
             self._scale = np.repeat(weights.omega, np.diff(self._bounds))
@@ -128,6 +166,9 @@ class SchwarzOperator:
         return np.bincount(self._gather, weights=y, minlength=self.n)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
+        # the local solutions are written back into the gathered copy of g,
+        # so it must hold float64 (a no-op for float64 input)
+        g = np.asarray(g, dtype=np.float64)
         if g.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {g.shape}")
         variant = self.config.variant

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfcdd import grid, linalg
+from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
 from sfcdd.partition import CyclicRange, build_partition, compute_weights
 from sfcdd.schwarz import WEIGHTINGS, SchwarzConfig, principal_block, setup
@@ -71,6 +71,21 @@ def random_scaled_spd(n, seed):
 def reference_block(A, idx):
     """The block by fancy indexing: the oracle for principal_block."""
     return A[idx][:, idx]
+
+
+def per_range_reference(A, part, weighting, g):
+    """One-level apply with one factorization per range, none shared."""
+    weights = compute_weights(part)
+    out = np.zeros(part.n)
+    for i, r in enumerate(part.overlapped):
+        idx = r.indices()
+        sol = linalg.factorize(reference_block(A, idx).tocsr()).solve(g[idx])
+        if weighting == "omega":
+            sol = weights.omega[i] * sol
+        elif weighting == "d_matrix":
+            sol = weights.diagonals[i] * sol
+        out[idx] += sol
+    return out
 
 
 def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
@@ -242,26 +257,65 @@ class TestApply:
         A = random_scaled_spd(44, 4)
         part = build_partition(44, 5, 1.5)
         op = setup(A, part, None, SchwarzConfig("one_level", weighting))
-        weights = compute_weights(part)
         rng = np.random.default_rng(12)
         for _ in range(3):
             g = rng.standard_normal(44)
-            expected = np.zeros(44)
-            for i, r in enumerate(part.overlapped):
-                idx = r.indices()
-                f = linalg.factorize(reference_block(A, idx).tocsr())
-                sol = f.solve(g[idx])
-                if weighting == "omega":
-                    sol = weights.omega[i] * sol
-                elif weighting == "d_matrix":
-                    sol = weights.diagonals[i] * sol
-                expected[idx] += sol
-            assert np.array_equal(op.apply(g), expected)
+            assert np.array_equal(op.apply(g),
+                                  per_range_reference(A, part, weighting, g))
+
+    @pytest.mark.parametrize("variant", ["one_level", "balanced"])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_input_read_as_float64(self, variant, weighting):
+        _, _, _, op = make_operator((5,), 4, 0.5, 2, variant, weighting)
+        rng = np.random.default_rng(13)
+        for g in (rng.integers(-3, 4, 31), np.ones(31, dtype=np.int64),
+                  rng.standard_normal(31).astype(np.float32)):
+            assert np.array_equal(op.apply(g), op.apply(g.astype(np.float64)))
 
     def test_dimension_check(self):
         _, _, _, op = make_operator((5,), 4, 0.5, 2)
         with pytest.raises(ValueError):
             op.apply(np.ones(30))
+
+
+class TestSharedFactors:
+    # (9,), P = 8 (N = 511): ranges 1-5 are the 128 entries from 64i - 32
+    # and share one factor; range 6 is 127 long and ranges 0 and 7 wrap
+    # around N.  (7,), P = 5, gamma = 1.25 has five distinct blocks, four
+    # of them wrapping.  A constant digest makes every block a candidate
+    # for every earlier one, so only the bitwise comparison decides.
+    @pytest.mark.parametrize("levels,p,gamma,expected", [
+        ((9,), 8, 0.5, [0, 1, 1, 1, 1, 1, 6, 7]),
+        ((7,), 5, 1.25, [0, 1, 2, 3, 4])])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("digest", ["blake2b", "constant"])
+    def test_bitwise_equal_to_one_factor_per_range(
+            self, monkeypatch, levels, p, gamma, expected, weighting, digest):
+        if digest == "constant":
+            monkeypatch.setattr(schwarz, "block_digest", lambda block: b"")
+        A, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+                                       weighting)
+        # for each range, the first range that holds the same factor
+        ids = [id(f) for f in op._factorizations]
+        assert [ids.index(i) for i in ids] == expected
+        assert len(set(ids)) == len(set(expected))
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            g = rng.standard_normal(part.n)
+            assert np.array_equal(op.apply(g),
+                                  per_range_reference(A, part, weighting, g))
+
+    def test_model_solve_blocks_are_distinct(self):
+        # perfbench's test_layer_counts_of_a_model_solve counts P + 1
+        # factorizations for its TINY_MODEL, which is this (5, 5), P = 4
+        # solve: it holds only while these four blocks stay distinct
+        A = grid.assemble_laplacian((5, 5))
+        A_hat = grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
+        part = build_partition(A.shape[0], 4, 0.5)
+        op = setup(A_hat, part, build_coarse(part, A_hat, 4),
+                   SchwarzConfig("balanced", "omega"))
+        assert len(op._factorizations) == 4
+        assert len({id(f) for f in op._factorizations}) == 4
 
 
 class TestSpectralProperties:
