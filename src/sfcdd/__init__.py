@@ -9,9 +9,8 @@ from .grid import (Problem, assemble_laplacian, manufactured_poisson, num_dofs,
 from .krylov import (SolveReport, SolverConfig, estimate_extremal_eigs,
                      initial_iterate)
 from .linalg import Factorization, factorize, triple_product
-from .partition import (CyclicRange, OverlapWeights, Partition,
-                        build_partition, compute_weights, disjoint_partition,
-                        enlarge)
+from .partition import (CyclicRange, Partition, build_partition,
+                        disjoint_partition, enlarge)
 from .schwarz import SchwarzConfig, SchwarzOperator, setup
 from .sfc import CurveConfig, holder_estimate
 
@@ -26,8 +25,8 @@ __all__ = [
     "SolveReport", "SolverConfig", "estimate_extremal_eigs",
     "initial_iterate",
     "Factorization", "factorize", "triple_product",
-    "CyclicRange", "OverlapWeights", "Partition", "build_partition",
-    "compute_weights", "disjoint_partition", "enlarge",
+    "CyclicRange", "Partition", "build_partition", "disjoint_partition",
+    "enlarge",
     "SchwarzConfig", "SchwarzOperator", "setup",
     "CurveConfig", "holder_estimate",
 ]

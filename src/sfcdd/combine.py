@@ -115,7 +115,13 @@ class CombinedSolution:
                 (float(coeff), grid.as_levels(levels), np.pad(values, 1)))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        """Evaluate at (m, d) points, every coordinate in [0, 1]."""
+        pts = np.asarray(points, dtype=np.float64)
+        d = len(self._terms[0][1]) if self._terms else None
+        if not (pts.ndim == 2 and pts.shape[1] == d
+                and np.all((pts >= 0.0) & (pts <= 1.0))):
+            raise ValueError(f"points must be an (m, {d}) array with every "
+                             f"coordinate finite and in [0, 1]")
         out = np.zeros(pts.shape[0])
         for coeff, levels, nodes in self._terms:
             out += coeff * _interpolate_padded(levels, nodes, pts)

@@ -73,6 +73,8 @@ class ExperimentSpec:
             if not (math.isfinite(g) and g >= 0):
                 raise ValueError(
                     f"gamma must be finite and nonnegative, got {g}")
+        # the solver's own check, made before the first solve of a sweep
+        krylov.SolverConfig(tolerance=self.tolerance)
 
 
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:

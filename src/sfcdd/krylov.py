@@ -46,8 +46,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.tolerance_kind not in ("energy_error_reduction", "relative_residual"):
             raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 

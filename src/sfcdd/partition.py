@@ -36,11 +36,7 @@ class CyclicRange:
         return self.start + self.length
 
     def indices(self) -> np.ndarray:
-        if self.stop <= self.modulus:
-            return np.arange(self.start, self.stop, dtype=np.int64)
-        head = np.arange(self.start, self.modulus, dtype=np.int64)
-        tail = np.arange(0, self.stop - self.modulus, dtype=np.int64)
-        return np.concatenate([head, tail])
+        return np.arange(self.start, self.stop, dtype=np.int64) % self.modulus
 
 
 def disjoint_partition(n: int, p: int) -> list[CyclicRange]:
@@ -116,26 +112,3 @@ def build_partition(n: int, p: int, gamma) -> Partition:
     disjoint = disjoint_partition(n, p)
     overlapped = enlarge(disjoint, gamma)
     return Partition(n, p, float(gamma), tuple(disjoint), tuple(overlapped))
-
-
-@dataclass(frozen=True)
-class OverlapWeights:
-    """Partition-of-unity weights over the overlapped ranges.
-
-    ``counts[j]`` is the number of overlapped ranges containing global
-    index j; ``diagonals[i]`` holds 1/count restricted to range i, and
-    ``omega[i]`` is its maximum.  Summing the extended diagonals always
-    reproduces the identity.
-    """
-
-    counts: np.ndarray
-    diagonals: tuple[np.ndarray, ...]
-    omega: np.ndarray
-
-
-def compute_weights(p: Partition) -> OverlapWeights:
-    indices = [rng.indices() for rng in p.overlapped]
-    counts = np.bincount(np.concatenate(indices), minlength=p.n)
-    diagonals = tuple(1.0 / counts[idx] for idx in indices)
-    omega = np.array([d.max() for d in diagonals])
-    return OverlapWeights(counts, diagonals, omega)

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .coarse import CoarseSpace, DeflationOperators
 from .linalg import Factorization, factorize
-from .partition import CyclicRange, Partition, compute_weights
+from .partition import CyclicRange, Partition
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
 WEIGHTINGS = ("none", "omega", "d_matrix")
@@ -47,24 +47,21 @@ def principal_block(A, rng: CyclicRange) -> sp.csc_matrix:
     """The block ``A[idx][:, idx]`` for ``idx = rng.indices()``, in CSC.
 
     Cut straight out of the arrays of the CSR matrix ``A``: the range's
-    rows are one slice of them (two for a range that wraps around N) and
-    a mask keeps the entries whose column lies in the range.  A stable
-    sort by column turns these rows into CSC columns with sorted row
-    indices, so no copy of A in CSC is needed.
+    rows are the rows ``start..stop-1`` followed by ``0..wrap-1``, a tail
+    that is empty unless the range wraps around N, and a mask keeps the
+    entries whose column lies in the range.  A stable sort by column
+    turns these rows into CSC columns with sorted row indices, so no
+    copy of A in CSC is needed.
     """
     n, start, m = rng.modulus, rng.start, rng.length
-    ptr, cols, vals = A.indptr, A.indices, A.data
-    if rng.stop <= n:
-        rowptr = ptr[start:start + m + 1] - ptr[start]
-        cut = slice(ptr[start], ptr[start + m])
-        cols, vals = cols[cut], vals[cut]
-    else:
-        wrap = rng.stop - n
-        rowptr = np.concatenate((ptr[start:n] - ptr[start],
-                                 ptr[:wrap + 1] + (ptr[n] - ptr[start])))
-        head, tail = slice(ptr[start], ptr[n]), slice(0, ptr[wrap])
-        cols = np.concatenate((cols[head], cols[tail]))
-        vals = np.concatenate((vals[head], vals[tail]))
+    stop, wrap = min(rng.stop, n), max(rng.stop - n, 0)
+    ptr = A.indptr
+    # ptr[0] == 0, so the tail's row pointers continue the head's
+    rowptr = np.concatenate((ptr[start:stop + 1] - ptr[start],
+                             ptr[1:wrap + 1] + (ptr[stop] - ptr[start])))
+    head, tail = slice(ptr[start], ptr[stop]), slice(0, ptr[wrap])
+    cols = np.concatenate((A.indices[head], A.indices[tail]))
+    vals = np.concatenate((A.data[head], A.data[tail]))
     # local position of each column; columns outside the range land >= m
     local = (cols - start) % n
     keep = local < m
@@ -119,12 +116,9 @@ class SchwarzOperator:
     def __init__(self, A, part: Partition, coarse: CoarseSpace | None,
                  config: SchwarzConfig):
         self.A = A
-        self.partition = part
-        self.coarse = coarse
         self.config = config
         self.n = part.n
 
-        weights = compute_weights(part)
         ranges = part.overlapped
         # all overlapped ranges back to back; block i is
         # _gather[_bounds[i]:_bounds[i + 1]]
@@ -133,16 +127,21 @@ class SchwarzOperator:
         # one entry per range; each block is cut and factorized (or
         # matched) before the next is cut; A.tocsr() is A when A is CSR
         self._factorizations = _factorize_distinct(A.tocsr(), ranges)
+        # 1/(number of ranges holding the entry) for every gathered entry:
+        # the D_i back to back; omega_i is the largest entry of D_i
+        inv = 1.0 / np.bincount(self._gather, minlength=self.n)[self._gather]
+        starts = self._bounds[:-1]
+        omega = np.maximum.reduceat(inv, starts)
         # per-entry weight of the gathered local solutions; None = unweighted
         if config.weighting == "omega":
-            self._scale = np.repeat(weights.omega, np.diff(self._bounds))
+            self._scale = np.repeat(omega, np.diff(self._bounds))
         elif config.weighting == "d_matrix":
-            self._scale = np.concatenate(weights.diagonals)
+            self._scale = inv
         else:
             self._scale = None
-
-        weighting_symmetric = config.weighting != "d_matrix" or all(
-            d.min() == d.max() for d in weights.diagonals)
+        # D_i is a multiple of the identity iff its smallest entry is omega_i
+        weighting_symmetric = config.weighting != "d_matrix" or np.array_equal(
+            np.minimum.reduceat(inv, starts), omega)
         # the deflated operator G^T C^-1 + F projects on one side only and
         # is non-symmetric even for symmetric C
         self.symmetric = weighting_symmetric and config.variant != "deflated"

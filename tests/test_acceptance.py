@@ -13,8 +13,7 @@ import pytest
 import test_schwarz as schwarz_oracles
 from sfcdd import combine, grid, harness, krylov, schwarz, sfc
 from sfcdd.coarse import build_coarse
-from sfcdd.partition import (build_partition, compute_weights,
-                             disjoint_partition)
+from sfcdd.partition import build_partition, disjoint_partition
 
 
 def check(num: str, ok: bool, detail: str) -> None:
@@ -56,12 +55,17 @@ def test_criterion_1_uniform_weights_for_half_integer_gamma():
                         build_partition(n, p, gamma)
                     rejected += 1
                     continue
-                w = compute_weights(build_partition(n, p, gamma))
+                part = build_partition(n, p, gamma)
                 c = int(round(2 * gamma + 1))
-                assert np.all(w.counts == c), (d, p, gamma)
-                for diag in w.diagonals:
-                    assert np.all(diag == 1.0 / c), (d, p, gamma)
-                assert np.all(w.omega == 1.0 / c), (d, p, gamma)
+                # the weights the operator applies: omega_i per entry, or
+                # the D_i back to back
+                for weighting in ("omega", "d_matrix"):
+                    op = schwarz.setup(
+                        grid.assemble_laplacian(levels), part, None,
+                        schwarz.SchwarzConfig("one_level", weighting))
+                    assert op._scale.shape == (c * n,), (d, p, gamma)
+                    assert np.all(op._scale == 1.0 / c), (d, p, gamma)
+                    assert op.symmetric, (d, p, gamma, weighting)
                 checked += 1
     check("1", checked == 33 and rejected == 3,
           f"D_i = I/(2*gamma+1) exactly in {checked} configs, "

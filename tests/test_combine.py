@@ -192,6 +192,21 @@ class TestCombinedSolution:
         for _ in range(2):  # the padded grids are reused, not rebuilt
             assert ev(pts).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("levels,pts", [
+        ((3,), [[1.5]]), ((3,), [[-0.5]]), ((3,), [[0.5], [np.nan]]),
+        ((2, 2), np.full((4, 3), 0.5)), ((2, 2), np.full((4, 1), 0.5))],
+        ids=["above-one", "below-zero", "nan", "extra-column",
+             "missing-column"])
+    def test_rejects_points_it_cannot_evaluate(self, levels, pts):
+        ev = combine.CombinedSolution(
+            [(1, levels, np.ones(grid.interior_shape(levels)))])
+        d = len(levels)
+        with pytest.raises(ValueError, match=rf"\(m, {d}\) array with every "
+                           r"coordinate finite and in \[0, 1\]"):
+            ev(pts)
+        # the corners of the closed cube still evaluate (to the boundary 0)
+        assert np.array_equal(ev(np.array([[0.0] * d, [1.0] * d])), [0.0, 0.0])
+
     def test_layer_count_alternating_sum_is_one(self):
         for d, level in [(2, 5), (3, 6), (4, 8)]:
             plan = combine.enumerate_plan(d, level)

@@ -530,6 +530,10 @@ class TestCli:
          "S must be positive, got 0"),
         (["weak-scale", "--dim", "1", "--s=-3", "--p-values", "2,4"],
          "S must be positive, got -3"),
+        (["solve", "--dim", "1", "--level", "5", "--p", "4",
+          "--tolerance", "inf"], "tolerance must be finite and positive, got inf"),
+        (["gamma-sweep", "--dim", "1", "--s", "3", "--p-values", "4",
+          "--tolerance", "nan"], "tolerance must be finite and positive, got nan"),
     ])
     def test_bad_value_fails_before_any_solve(self, tmp_path, capsys,
                                               monkeypatch, argv, message):

@@ -289,6 +289,9 @@ def test_solver_config_validation():
         krylov.SolverConfig(method="gmres")
     with pytest.raises(ValueError):
         krylov.SolverConfig(tolerance=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            krylov.SolverConfig(tolerance=bad)
     with pytest.raises(ValueError):
         krylov.SolverConfig(tolerance_kind="none")
     with pytest.raises(ValueError, match="max_iters"):

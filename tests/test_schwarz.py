@@ -8,8 +8,9 @@ import scipy.sparse as sp
 
 from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
-from sfcdd.partition import CyclicRange, build_partition, compute_weights
+from sfcdd.partition import CyclicRange, build_partition
 from sfcdd.schwarz import WEIGHTINGS, SchwarzConfig, principal_block, setup
+from weights_reference import compute_weights
 
 
 def dense_operator(op):
@@ -145,11 +146,11 @@ class TestSetup:
         np.testing.assert_allclose(A @ op.apply(v), v, atol=1e-10)
 
     def test_gamma_half_weightings_bitwise_identical(self):
-        _, part, _, _ = make_operator((6,), 4, 0.5, 2)
-        w = compute_weights(part)
-        for i, diag in enumerate(w.diagonals):
-            assert np.all(diag == w.omega[i])
-            assert np.all(diag == 0.5)
+        scales = [make_operator((6,), 4, 0.5, 2, "one_level", w)[3]._scale
+                  for w in ("omega", "d_matrix")]
+        assert scales[0].shape == (126,)
+        assert np.all(scales[0] == 0.5)
+        assert np.array_equal(scales[0], scales[1])
 
     def test_symmetry_flag(self):
         for weighting, p, gamma, expected in [
@@ -227,9 +228,11 @@ class TestApply:
                       - (G.T @ C1 @ G + F)).max() < 1e-10
 
     # wrapping first range, fractional gamma, uneven overlap counts;
-    # the 1d case also has omega_i that differ between subdomains
+    # the (3,) case also has omega_i that differ between subdomains, and
+    # gamma = 1/4 covers every index once or twice
     @pytest.mark.parametrize("levels,p,gamma", [((3, 4), 5, 0.75),
-                                                ((3,), 5, 1.25)])
+                                                ((3,), 5, 1.25),
+                                                ((6,), 8, 0.25)])
     @pytest.mark.parametrize("weighting", ["none", "omega", "d_matrix"])
     def test_one_level_matches_per_subdomain_loop_bitwise(self, levels, p,
                                                           gamma, weighting):
