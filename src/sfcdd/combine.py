@@ -113,6 +113,9 @@ class CombinedSolution:
                                  f"have shape {shape}, got {values.shape}")
             self._terms.append(
                 (float(coeff), grid.as_levels(levels), np.pad(values, 1)))
+        dims = sorted({len(levels) for _, levels, _ in self._terms})
+        if len(dims) > 1:
+            raise ValueError(f"terms mix dimensions {dims}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at (m, d) points, every coordinate in [0, 1]."""

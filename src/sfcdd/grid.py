@@ -129,14 +129,21 @@ def symmetrize_diag(A, b):
 
     Returns (A_hat, b_hat, t) with A_hat = T A T, b_hat = T b and
     T = diag(t) = diag(A)**-1/2; solutions map back via x = t * x_hat.
+    A_hat is CSR with A's sparsity pattern and each stored entry scaled
+    to (t_i a_ij) t_j, which rounds as diag(t) @ A @ diag(t) does.  As in
+    that product, entries that scale to zero are dropped; duplicate
+    entries are summed after scaling.  A is not modified.
     """
+    A = sp.csr_matrix(A)
     d = np.asarray(A.diagonal())
     if not np.all(np.isfinite(d) & (d > 0.0)):
         raise ValueError("matrix has a nonpositive or non-finite diagonal entry")
     t = 1.0 / np.sqrt(d)
-    T = sp.diags(t)
-    A_hat = sp.csr_matrix(T @ A @ T)
-    A_hat.sort_indices()
+    data = np.repeat(t, np.diff(A.indptr)) * A.data * t[A.indices]
+    A_hat = sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()),
+                          shape=A.shape)
+    A_hat.sum_duplicates()
+    A_hat.eliminate_zeros()
     return A_hat, t * np.asarray(b, dtype=np.float64), t
 
 

@@ -74,7 +74,7 @@ class ExperimentSpec:
                 raise ValueError(
                     f"gamma must be finite and nonnegative, got {g}")
         # the solver's own check, made before the first solve of a sweep
-        krylov.SolverConfig(tolerance=self.tolerance)
+        krylov.SolverConfig(tolerance=self.tolerance, max_iters=self.max_iters)
 
 
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
@@ -101,6 +101,11 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     the recorded histories are the untransformed energy errors.
     """
     levels = grid.as_levels(levels)
+    # checked before the operator is built
+    solver_cfg = krylov.SolverConfig(
+        method=method, tolerance=tolerance,
+        tolerance_kind="energy_error_reduction", max_iters=max_iters,
+        seed=seed)
     A = grid.assemble_laplacian(levels)
     n = A.shape[0]
     A_hat, b_hat, _ = grid.symmetrize_diag(A, np.zeros(n))
@@ -109,10 +114,6 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
-    solver_cfg = krylov.SolverConfig(
-        method=method, tolerance=tolerance,
-        tolerance_kind="energy_error_reduction", max_iters=max_iters,
-        seed=seed)
     report = krylov.run(A_hat, b_hat, op, solver_cfg, x0, exact=np.zeros(n))
     report.params.update({
         "d": len(levels), "levels": levels, "N": n, "P": p, "gamma": gamma,

@@ -48,6 +48,9 @@ class SolverConfig:
             raise ValueError(f"unknown tolerance kind {self.tolerance_kind!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if isinstance(self.max_iters, bool) or not hasattr(
+                type(self.max_iters), "__index__"):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
 

@@ -1,47 +1,88 @@
 """Sparse-matrix plumbing: direct factorization, Galerkin triple products.
 
-Matrices are scipy CSR, except that the factorization takes any input
-format and passes a CSC matrix to SuperLU as it is, without a copy
-(SuperLU may sort its indices in place).  Every symmetric positive
-definite block is factorized by one sparse LU (SuperLU) with
+Matrices are scipy CSR.  Every symmetric positive definite block is
+factorized by one sparse LU (SuperLU's ``gstrf``, the routine behind
+``scipy.sparse.linalg.splu``, with the options ``splu`` passes) with
 minimum-degree ordering and the pivots kept on the diagonal, so a
-positive diagonal of U is an exact SPD test.  Factorizations are
-immutable after construction and their solves are safe to call
-concurrently.
+positive diagonal of U is an exact SPD test.  The factorization takes
+either a matrix or the CSC arrays ``(data, indices, indptr, n)`` of one,
+as :func:`sfcdd.schwarz.principal_block` cuts them; both reach SuperLU
+as the same arrays, so both give the same factors bit for bit.  A
+matrix in CSC is read as it is, without a copy (its duplicate entries
+are summed and its indices sorted in place, as ``splu`` does).
+Factorizations are immutable after construction and their solves are
+safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# splu itself would re-validate a block that principal_block has just
+# built canonically, and the caller would have to wrap the block's arrays
+# in a csc_matrix only to hand them over; on a block of a few dozen
+# unknowns that overhead costs about as much as the factorization
+from scipy.sparse.linalg._dsolve import _superlu
+
+# splu's options for permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0 and
+# options={"SymmetricMode": True}.  Minimum degree on A+A^T: SFC order
+# alone leaves near-full bandwidth for d >= 3 coarse matrices and the LU
+# fill explodes.  DiagPivotThresh=0 keeps every nonzero pivot on the
+# diagonal, so the elimination is that of LDL^T and U's diagonal is D
+_SUPERLU_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="MMD_AT_PLUS_A",
+                        PanelSize=None, Relax=None, SymmetricMode=True)
+_INTC_MAX = np.iinfo(np.intc).max
 
 
 class FactorizationError(RuntimeError):
     """Raised when a matrix expected to be SPD cannot be factorized."""
 
 
+def _csc_arrays(A):
+    """``(data, indices, indptr, n)`` of a square matrix in canonical CSC."""
+    if not (sp.issparse(A) and A.format == "csc"):
+        A = sp.csc_matrix(A)
+    n, m = A.shape
+    if n != m:
+        raise ValueError(f"matrix is not square: {A.shape}")
+    A.sum_duplicates()  # as splu does
+    return A.data, A.indices, A.indptr, n
+
+
+def _superlu_arrays(data, indices, indptr, n):
+    """The CSC arrays as SuperLU reads them: float64 data, C int indices.
+
+    Like scipy's CSC constructor, this checks the arrays' lengths and end
+    pointers but not each index.  Sizes past the C int range fail here
+    instead of wrapping in the cast.
+    """
+    nnz = len(data)
+    if n > _INTC_MAX or nnz > _INTC_MAX:
+        raise ValueError(f"n = {n} or nnz = {nnz} too large for SuperLU")
+    if not (len(indptr) == n + 1 and indptr[0] == 0
+            and indptr[-1] == nnz == len(indices)):
+        raise ValueError(f"not the CSC arrays of an {n} x {n} matrix")
+    return (np.ascontiguousarray(data, dtype=np.float64),
+            np.asarray(indices).astype(np.intc, copy=False),
+            np.asarray(indptr).astype(np.intc, copy=False))
+
+
 class Factorization:
-    """Direct solver for a symmetric positive definite matrix."""
+    """Direct solver for a symmetric positive definite matrix.
+
+    ``A`` is a square matrix in any format scipy.sparse converts to CSC,
+    or the tuple ``(data, indices, indptr, n)`` of the CSC arrays of an
+    n x n matrix with sorted row indices and no duplicates.
+    """
 
     def __init__(self, A):
-        n, m = A.shape
-        if n != m:
-            raise ValueError(f"matrix is not square: {A.shape}")
+        data, indices, indptr, n = A if isinstance(A, tuple) else _csc_arrays(A)
+        data, indices, indptr = _superlu_arrays(data, indices, indptr, n)
         self.n = n
-        if not (sp.issparse(A) and A.format == "csc"):
-            A = sp.csc_matrix(A)
-        # minimum-degree on A+A^T: SFC order alone leaves near-full
-        # bandwidth for d >= 3 coarse matrices and the LU fill explodes.
-        # diag_pivot_thresh=0 keeps every nonzero pivot on the diagonal,
-        # so the elimination is that of LDL^T and U's diagonal is D
         try:
-            lu = spla.splu(
-                A,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            lu = _superlu.gstrf(n, len(data), data, indices, indptr,
+                                csc_construct_func=sp.csc_array, ilu=False,
+                                options=_SUPERLU_OPTIONS)
         except RuntimeError as exc:  # exactly singular
             raise FactorizationError(f"SuperLU failed: {exc}") from exc
         # a zero diagonal pivot sends SuperLU off the diagonal, which

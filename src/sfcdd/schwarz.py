@@ -21,7 +21,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coarse import CoarseSpace, DeflationOperators
 from .linalg import Factorization, factorize
@@ -43,15 +42,17 @@ class SchwarzConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
-def principal_block(A, rng: CyclicRange) -> sp.csc_matrix:
-    """The block ``A[idx][:, idx]`` for ``idx = rng.indices()``, in CSC.
+def principal_block(A, rng: CyclicRange):
+    """The block ``A[idx][:, idx]`` for ``idx = rng.indices()``, as CSC arrays.
 
-    Cut straight out of the arrays of the CSR matrix ``A``: the range's
-    rows are the rows ``start..stop-1`` followed by ``0..wrap-1``, a tail
-    that is empty unless the range wraps around N, and a mask keeps the
-    entries whose column lies in the range.  A stable sort by column
-    turns these rows into CSC columns with sorted row indices, so no
-    copy of A in CSC is needed.
+    Returns ``(data, indices, indptr, m)``, the arrays of the m x m block
+    in CSC with sorted row indices, as :class:`sfcdd.linalg.Factorization`
+    takes them.  Cut straight out of the arrays of the CSR matrix ``A``:
+    the range's rows are the rows ``start..stop-1`` followed by
+    ``0..wrap-1``, a tail that is empty unless the range wraps around N,
+    and a mask keeps the entries whose column lies in the range.  A
+    stable sort by column turns these rows into CSC columns with sorted
+    row indices, so no copy of A in CSC is needed.
     """
     n, start, m = rng.modulus, rng.start, rng.length
     stop, wrap = min(rng.stop, n), max(rng.stop - n, 0)
@@ -70,22 +71,22 @@ def principal_block(A, rng: CyclicRange) -> sp.csc_matrix:
     local, vals = local[keep], vals[keep]
     order = np.argsort(local, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=m))))
-    return sp.csc_matrix((vals[order], row[order], indptr), shape=(m, m))
+    return vals[order], row[order], indptr, m
 
 
-def block_digest(block: sp.csc_matrix) -> bytes:
-    """A 16-byte hash of the CSC arrays; equal blocks hash equal."""
+def block_digest(block) -> bytes:
+    """A 16-byte hash of a block's CSC arrays; equal blocks hash equal."""
+    data, indices, indptr, _ = block
     h = hashlib.blake2b(digest_size=16)
-    for arr in (block.indptr, block.indices, block.data):
+    for arr in (indptr, indices, data):
         h.update(arr)  # the array's buffer, without a bytes copy
     return h.digest()
 
 
-def _same_bits(x: sp.csc_matrix, y: sp.csc_matrix) -> bool:
-    """Whether the CSC arrays are equal bit for bit (0.0 and -0.0 differ)."""
+def _same_bits(x, y) -> bool:
+    """Whether two blocks' CSC arrays are equal bit for bit (0.0 and -0.0 differ)."""
     return all(np.array_equal(a.view(np.uint8), b.view(np.uint8))
-               for a, b in ((x.indptr, y.indptr), (x.indices, y.indices),
-                            (x.data, y.data)))
+               for a, b in zip(x[:3], y[:3]))
 
 
 def _factorize_distinct(A, ranges) -> list[Factorization]:

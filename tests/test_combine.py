@@ -207,6 +207,12 @@ class TestCombinedSolution:
         # the corners of the closed cube still evaluate (to the boundary 0)
         assert np.array_equal(ev(np.array([[0.0] * d, [1.0] * d])), [0.0, 0.0])
 
+    def test_rejects_terms_of_mixed_dimension(self):
+        terms = [(1, lv, np.ones(grid.interior_shape(lv)))
+                 for lv in [(2,), (2, 2)]]
+        with pytest.raises(ValueError, match=r"terms mix dimensions \[1, 2\]"):
+            combine.CombinedSolution(terms)
+
     def test_layer_count_alternating_sum_is_one(self):
         for d, level in [(2, 5), (3, 6), (4, 8)]:
             plan = combine.enumerate_plan(d, level)

@@ -168,7 +168,52 @@ class TestSfcOrdering:
         np.testing.assert_array_equal(arr.reshape(-1)[perm], v)
 
 
+def diags_product_reference(A):
+    """diag(t) @ A @ diag(t) as sparse products: the scaling oracle."""
+    t = 1.0 / np.sqrt(A.diagonal())
+    B = sp.csr_matrix(sp.diags(t) @ A @ sp.diags(t))
+    B.sort_indices()
+    return B
+
+
 class TestSymmetrizeDiag:
+    @staticmethod
+    def assert_bitwise_equal_to_product(A):
+        data, indices, indptr = A.data.copy(), A.indices.copy(), A.indptr.copy()
+        Ah = grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
+        ref = diags_product_reference(A)
+        assert Ah.format == "csr" and Ah.has_canonical_format
+        np.testing.assert_array_equal(Ah.indptr, ref.indptr)
+        np.testing.assert_array_equal(Ah.indices, ref.indices)
+        assert Ah.data.tobytes() == ref.data.tobytes()
+        # A itself is left as it was
+        assert A.data.tobytes() == data.tobytes()
+        np.testing.assert_array_equal(A.indices, indices)
+        np.testing.assert_array_equal(A.indptr, indptr)
+
+    @pytest.mark.parametrize("levels", [(6,), (3, 4), (2, 2, 3, 2),
+                                        (1, 2, 1, 2, 1, 2)])
+    def test_laplacian_bitwise_equal_to_diags_product(self, levels):
+        self.assert_bitwise_equal_to_product(grid.assemble_laplacian(levels))
+
+    def test_random_spd_bitwise_equal_to_diags_product(self):
+        # a non-constant diagonal, so t_i a_ij t_j rounds differently
+        # from t_j a_ji t_i and the order of the factors matters
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            B = sp.random(30, 30, density=0.15, random_state=rng,
+                          format="csr")
+            A = (B @ B.T + sp.diags(rng.uniform(1.0, 9.0, 30))).tocsr()
+            self.assert_bitwise_equal_to_product(A)
+
+    def test_stored_zero_is_dropped(self):
+        # [[4, 1, 0], [1, 9, 2], [0, 2, 16]] with the 0 at (0, 2) stored
+        A = sp.csr_matrix((np.array([4.0, 1.0, 0.0, 1.0, 9.0, 2.0, 2.0, 16.0]),
+                           np.array([0, 1, 2, 0, 1, 2, 1, 2]),
+                           np.array([0, 3, 6, 8])), shape=(3, 3))
+        self.assert_bitwise_equal_to_product(A)
+        assert grid.symmetrize_diag(A, np.zeros(3))[0].nnz == 7
+
     def test_identity_unchanged(self):
         A = sp.eye(5, format="csr")
         Ah, bh, t = grid.symmetrize_diag(A, np.arange(5.0))

@@ -158,6 +158,13 @@ class TestRunSingle:
         assert report.lambda_min is not None
         assert row["lambda_min"] != ""
 
+    def test_fractional_max_iters_fails_before_setup(self, monkeypatch):
+        def no_setup(*args):
+            raise AssertionError("the operator was built")
+        monkeypatch.setattr(harness.schwarz, "setup", no_setup)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            harness.run_model_solve((5,), 4, 0.5, 2, max_iters=2.5)
+
 
 class TestQRule:
     def test_fixed(self):

@@ -297,6 +297,11 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="max_iters"):
         krylov.SolverConfig(max_iters=-3)
     assert krylov.SolverConfig(max_iters=0).max_iters == 0
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            krylov.SolverConfig(max_iters=bad)
+    assert krylov.SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
 
 
 def test_package_exports_resolve():

@@ -3,14 +3,120 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sfcdd import grid, linalg
+from sfcdd.coarse import build_coarse
+from sfcdd.partition import build_partition
+from sfcdd.schwarz import principal_block
 
 
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((n, n))
     return sp.csr_matrix(B.T @ B + n * np.eye(n))
+
+
+def splu_reference(A):
+    """The public splu with the options Factorization passes to SuperLU."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def csc_arrays(A):
+    A = sp.csc_matrix(A)
+    return A.data, A.indices, A.indptr, A.shape[0]
+
+
+def scaled_laplacian(levels):
+    A = grid.assemble_laplacian(levels)
+    return grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
+
+
+def schwarz_blocks(gamma):
+    """Every block of a (4, 4), P = 7 partition; the first range wraps."""
+    A = scaled_laplacian((4, 4))
+    part = build_partition(A.shape[0], 7, gamma)
+    assert part.overlapped[0].stop > A.shape[0]
+    return [principal_block(A, rng) for rng in part.overlapped]
+
+
+def unsorted_csc(A):
+    """A CSC copy of A whose row indices run backwards in every column."""
+    A = sp.csc_matrix(A)
+    order = np.concatenate([np.arange(b - 1, a - 1, -1)
+                            for a, b in zip(A.indptr, A.indptr[1:])])
+    B = sp.csc_matrix((A.data[order], A.indices[order], A.indptr.copy()),
+                      shape=A.shape)
+    assert not B.has_sorted_indices
+    return B
+
+
+def duplicated_csc(A):
+    """A CSC copy of A storing every entry as two halves, which sum exactly."""
+    A = sp.csc_matrix(A)
+    B = sp.csc_matrix((np.repeat(A.data / 2, 2), np.repeat(A.indices, 2),
+                       2 * A.indptr), shape=A.shape)
+    assert not B.has_canonical_format
+    return B
+
+
+NOT_SPD = [
+    sp.diags([1.0, -1.0, 2.0]).tocsr(),
+    # eigenvalues 3 and -1 in each block, positive diagonal throughout
+    sp.block_diag([np.array([[1.0, 2.0], [2.0, 1.0]])] * 300, format="csr"),
+    # zero diagonal pivot: SuperLU would pivot off the diagonal
+    sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    sp.diags([1.0, 0.0]).tocsr(),
+]
+NOT_SPD_IDS = ["diagonal", "blocks600", "swap", "singular"]
+
+
+class TestAgainstSplu:
+    """The direct gstrf call against the public splu, bit for bit."""
+
+    @staticmethod
+    def assert_same_factor(F, ref, n):
+        lu = F._lu
+        assert np.array_equal(lu.perm_r, ref.perm_r)
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        for mine, theirs in ((lu.L, ref.L), (lu.U, ref.U)):
+            assert mine.format == theirs.format == "csc"
+            assert np.array_equal(mine.indptr, theirs.indptr)
+            assert np.array_equal(mine.indices, theirs.indices)
+            assert mine.data.tobytes() == theirs.data.tobytes()
+        b = np.random.default_rng(n).standard_normal(n)
+        assert F.solve(b).tobytes() == ref.solve(b).tobytes()
+
+    def test_random_spd(self):
+        A = random_spd(50, 21)
+        self.assert_same_factor(linalg.factorize(A), splu_reference(A), 50)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.5])
+    def test_wrapping_schwarz_blocks(self, gamma):
+        for block in schwarz_blocks(gamma):
+            data, indices, indptr, m = block
+            ref = splu_reference(
+                sp.csc_matrix((data, indices, indptr), shape=(m, m)))
+            F = linalg.factorize(block)
+            assert F.n == m
+            self.assert_same_factor(F, ref, m)
+
+    def test_coarse_matrix(self):
+        A = scaled_laplacian((4, 4))
+        part = build_partition(A.shape[0], 7, 0.5)
+        A0 = build_coarse(part, A, 4).matrix
+        self.assert_same_factor(linalg.factorize(A0), splu_reference(A0),
+                                A0.shape[0])
+
+    @pytest.mark.parametrize("fmt", ["csr", "coo", "csc-unsorted",
+                                     "csc-duplicates", "arrays"])
+    def test_input_formats(self, fmt):
+        A = random_spd(40, 22)
+        M = {"csr": A, "coo": A.tocoo(), "csc-unsorted": unsorted_csc(A),
+             "csc-duplicates": duplicated_csc(A),
+             "arrays": csc_arrays(A)}[fmt]
+        self.assert_same_factor(linalg.factorize(M), splu_reference(A), 40)
 
 
 class TestFactorize:
@@ -53,18 +159,40 @@ class TestFactorize:
         np.testing.assert_allclose(linalg.factorize(A).solve(A @ x), x,
                                    rtol=1e-8)
 
-    @pytest.mark.parametrize("A", [
-        sp.diags([1.0, -1.0, 2.0]).tocsr(),
-        # eigenvalues 3 and -1 in each block, positive diagonal throughout
-        sp.block_diag([np.array([[1.0, 2.0], [2.0, 1.0]])] * 300,
-                      format="csr"),
-        # zero diagonal pivot: SuperLU would pivot off the diagonal
-        sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
-        sp.diags([1.0, 0.0]).tocsr(),
-    ], ids=["diagonal", "blocks600", "swap", "singular"])
+    @pytest.mark.parametrize("A", NOT_SPD, ids=NOT_SPD_IDS)
     def test_rejects_indefinite(self, A):
         with pytest.raises(linalg.FactorizationError):
             linalg.factorize(A)
+
+    @pytest.mark.parametrize("A", NOT_SPD, ids=NOT_SPD_IDS)
+    def test_rejects_indefinite_csc_arrays(self, A):
+        with pytest.raises(linalg.FactorizationError):
+            linalg.factorize(csc_arrays(A))
+
+    def test_index_range_fails_instead_of_wrapping(self):
+        # C int indices: a count of 2**31 must not wrap to a negative one
+        one = np.ones(1)
+        with pytest.raises(ValueError, match="too large for SuperLU"):
+            linalg.factorize((one, np.zeros(1, dtype=np.int64),
+                              np.array([0, 1]), 2**31))
+        big = np.array([0, 2**31], dtype=np.int64)
+        with pytest.raises(ValueError):
+            linalg.factorize((one, np.zeros(1, dtype=np.int64), big, 1))
+        # the cast itself is exact below the limit
+        F = linalg.factorize((np.array([2.0]), np.array([0], dtype=np.int64),
+                              np.array([0, 1], dtype=np.int64), 1))
+        assert F.solve(np.array([4.0]))[0] == 2.0
+
+    @pytest.mark.parametrize("indices,indptr", [
+        ([0, 1], [0, 1, 2, 2]),  # one pointer too many
+        ([0, 1], [0, 1, 3]),  # pointers past the entries
+        ([0, 1], [1, 1, 2]),  # first pointer not 0
+        ([0], [0, 1, 2]),  # fewer indices than values
+    ])
+    def test_rejects_malformed_arrays(self, indices, indptr):
+        with pytest.raises(ValueError, match="CSC arrays"):
+            linalg.factorize((np.ones(2), np.array(indices),
+                              np.array(indptr), 2))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -102,11 +102,12 @@ class TestPrincipalBlock:
     def assert_same_block(block, A, rng):
         ref = reference_block(A, rng.indices()).tocsc()
         assert ref.has_sorted_indices
-        assert block.format == "csc"
-        assert block.shape == ref.shape
-        np.testing.assert_array_equal(block.indptr, ref.indptr)
-        np.testing.assert_array_equal(block.indices, ref.indices)
-        np.testing.assert_array_equal(block.data, ref.data)
+        data, indices, indptr, m = block
+        assert (m, m) == ref.shape
+        np.testing.assert_array_equal(indptr, ref.indptr)
+        np.testing.assert_array_equal(indices, ref.indices)
+        assert data.dtype == ref.data.dtype
+        assert data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("gamma", [0, 0.25, 0.5, 1, 1.5])
     @pytest.mark.parametrize("matrix", ["laplacian", "random"])
