@@ -19,7 +19,7 @@ import numpy as np
 
 from . import grid, krylov, schwarz
 from .coarse import build_coarse
-from .partition import build_partition, overlap_fits
+from .partition import build_partition, overlap_fits, read_gamma
 
 Levels = tuple[int, ...]
 
@@ -168,10 +168,21 @@ class CombinationResult:
     clamps: list[str] = field(default_factory=list)
 
 
+def _configs(*, variant, weighting, method, tolerance, seed, max_iters):
+    """A subproblem's Schwarz and solver configs; each checks its settings."""
+    return (schwarz.SchwarzConfig(variant=variant, weighting=weighting),
+            krylov.SolverConfig(method=method, tolerance=tolerance,
+                                tolerance_kind="relative_residual",
+                                max_iters=max_iters, seed=seed))
+
+
 def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
                      weighting="omega", method="pcg", tolerance=1e-8,
                      seed: int = 42, max_iters: int = 20000):
     """Solve one anisotropic subproblem; returns (PartialSolution, clamp notes)."""
+    cfg, solver_cfg = _configs(
+        variant=variant, weighting=weighting, method=method,
+        tolerance=tolerance, seed=seed, max_iters=max_iters)
     problem = grid.manufactured_poisson(levels)
     n = grid.num_dofs(levels)
     clamps = []
@@ -187,13 +198,8 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
     b = grid.sample_on_grid(problem.rhs, levels)
     A_hat, b_hat, t = grid.symmetrize_diag(A, b)
     part = build_partition(n, p, g)
-    cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
-    solver_cfg = krylov.SolverConfig(
-        method=method, tolerance=tolerance, tolerance_kind="relative_residual",
-        max_iters=max_iters, seed=seed,
-    )
     report = krylov.run(A_hat, b_hat, op, solver_cfg, np.zeros(n))
     if not report.converged:
         raise CombinationError(f"subproblem {levels} did not converge")
@@ -209,20 +215,23 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
                     seed: int = 42, max_iters: int = 20000) -> CombinationResult:
     """Solve every subproblem of the plan and build the combined evaluator.
 
-    The subproblems are solved serially in plan order.  A failed solve
-    does not stop the loop: every failure is collected and one
+    Every setting is checked once, before the first grid.  The
+    subproblems are solved serially in plan order.  A failed solve does
+    not stop the loop: every failure is collected and one
     :class:`CombinationError` names the failed level vectors in plan order.
     """
+    settings = dict(variant=variant, weighting=weighting, method=method,
+                    tolerance=tolerance, seed=seed, max_iters=max_iters)
+    _configs(**settings)
+    read_gamma(gamma)
     partials = []
     clamps = []
     eval_terms = []
     failures = []
     for _, coeff, p_target, levels in plan.terms():
         try:
-            partial, notes = solve_subproblem(
-                levels, p_target, gamma=gamma, variant=variant,
-                weighting=weighting, method=method, tolerance=tolerance,
-                seed=seed, max_iters=max_iters)
+            partial, notes = solve_subproblem(levels, p_target, gamma=gamma,
+                                              **settings)
         except Exception as exc:  # noqa: BLE001 - aggregated below
             failures.append(f"{levels}: {exc}")
             continue

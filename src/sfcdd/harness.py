@@ -22,7 +22,7 @@ import numpy as np
 
 from . import combine, grid, krylov, schwarz, sfc
 from .coarse import build_coarse
-from .partition import build_partition, overlap_fits
+from .partition import build_partition, overlap_fits, read_gamma
 
 DEFAULT_P_SWEEP = (2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_GAMMAS = (0.2, 0.25, 0.5, 1.0, 1.5, 2.0, 5.0)
@@ -32,11 +32,16 @@ CSV_COLUMNS = [
     "gamma", "q", "seed", "N", "iterations", "lambda_min", "lambda_max",
     "converged", "skipped", "reason",
 ]
+ITERATION_COLUMNS = ["k", "energy_error", "residual"]
+SFC_CHECK_COLUMNS = ["d", "n", "bijective", "adjacent", "holder_est",
+                     "holder_bound"]
+# how q, the coarse dofs per subdomain, is chosen; see resolve_q
+Q_RULES = ("fixed", "srel4", "auto")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    kind: str = "single"  # weak|strong|gamma_sweep|dim_sweep|combine|single
+    kind: str = "single"  # the kind of one of the _COMMANDS
     dim: int = 1
     dims: tuple[int, ...] = (1, 2, 3)
     s: int = 8
@@ -46,7 +51,7 @@ class ExperimentSpec:
     p_values: tuple[int, ...] = DEFAULT_P_SWEEP
     gamma: float = 0.5
     gamma_values: tuple[float, ...] = DEFAULT_GAMMAS
-    q_rule: str = "srel4"  # fixed | srel4 | auto
+    q_rule: str = "srel4"  # one of Q_RULES
     q_value: int = 16
     p_hat: int = 1
     method: str = "pcg"
@@ -70,11 +75,13 @@ class ExperimentSpec:
                 if v < 1:
                     raise ValueError(f"{name} must be positive, got {v}")
         for g in (self.gamma, *self.gamma_values):
-            if not (math.isfinite(g) and g >= 0):
-                raise ValueError(
-                    f"gamma must be finite and nonnegative, got {g}")
-        # the solver's own check, made before the first solve of a sweep
-        krylov.SolverConfig(tolerance=self.tolerance, max_iters=self.max_iters)
+            read_gamma(g)
+        if self.q_rule not in Q_RULES:
+            raise ValueError(f"unknown q rule {self.q_rule!r}")
+        # the configs' own checks, made before the first solve of a sweep
+        krylov.SolverConfig(method=self.method, tolerance=self.tolerance,
+                            max_iters=self.max_iters)
+        schwarz.SchwarzConfig(variant=self.variant, weighting=self.weighting)
 
 
 def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
@@ -84,10 +91,8 @@ def resolve_q(spec: ExperimentSpec, n: int, p: int) -> int:
         q = spec.q_value
     elif spec.q_rule == "srel4":
         q = 2 ** max(0, spec.s - 4)
-    elif spec.q_rule == "auto":
+    else:  # "auto"; ExperimentSpec admits only Q_RULES
         q = combine.default_q_rule(n, p)
-    else:
-        raise ValueError(f"unknown q rule {spec.q_rule!r}")
     return max(1, min(q, n // p))
 
 
@@ -101,16 +106,16 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     the recorded histories are the untransformed energy errors.
     """
     levels = grid.as_levels(levels)
-    # checked before the operator is built
+    # every setting but q is checked before the operator is built
     solver_cfg = krylov.SolverConfig(
         method=method, tolerance=tolerance,
         tolerance_kind="energy_error_reduction", max_iters=max_iters,
         seed=seed)
-    A = grid.assemble_laplacian(levels)
-    n = A.shape[0]
-    A_hat, b_hat, _ = grid.symmetrize_diag(A, np.zeros(n))
-    part = build_partition(n, p, gamma)
     cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
+    n = grid.num_dofs(levels)
+    part = build_partition(n, p, gamma)
+    A = grid.assemble_laplacian(levels)
+    A_hat, b_hat, _ = grid.symmetrize_diag(A, np.zeros(n))
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
@@ -124,15 +129,10 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
 
 
 def _row(spec: ExperimentSpec, **overrides) -> dict:
-    row = {
-        "kind": spec.kind, "method": spec.method, "variant": spec.variant,
-        "weighting": spec.weighting, "d": spec.dim, "levels": "", "S": "",
-        "L": "", "P": "", "gamma": "", "q": "", "seed": spec.seed, "N": "",
-        "iterations": "", "lambda_min": "", "lambda_max": "", "converged": "",
-        "skipped": 0, "reason": "", "wall_time": None,
-    }
-    row.update(overrides)
-    return row
+    return {**dict.fromkeys(CSV_COLUMNS, ""), "kind": spec.kind,
+            "method": spec.method, "variant": spec.variant,
+            "weighting": spec.weighting, "d": spec.dim, "seed": spec.seed,
+            "skipped": 0, "wall_time": None, **overrides}
 
 
 def _fill_report(row: dict, report: krylov.SolveReport) -> dict:
@@ -283,12 +283,9 @@ def run_sfc_check(spec: ExperimentSpec) -> list[dict]:
             diag = sfc.spot_check(cfg, [k % last for k in sfc.random_keys(
                 rng, cfg.key_bits, 1000)])
         est = sfc.holder_estimate(cfg, spec.sample_count, seed=spec.seed)
-        rows.append({
-            "d": d, "n": n, "bijective": int(diag["bijective"]),
-            "adjacent": int(diag["adjacent"]),
-            "holder_est": f"{est:.12g}",
-            "holder_bound": f"{sfc.holder_bound(d):.12g}",
-        })
+        rows.append(dict(zip(SFC_CHECK_COLUMNS, (
+            d, n, int(diag["bijective"]), int(diag["adjacent"]),
+            f"{est:.12g}", f"{sfc.holder_bound(d):.12g}"))))
     return rows
 
 
@@ -303,13 +300,9 @@ def write_rows_csv(path, rows, columns=None) -> None:
 
 def write_summary_json(path, spec: ExperimentSpec, rows, extra=None) -> None:
     payload = {
-        "spec": {k: (list(v) if isinstance(v, tuple) else v)
-                 for k, v in vars(spec).items()},
-        "timings": [
-            {"P": r.get("P"), "levels": r.get("levels"),
-             "wall_time": r.get("wall_time")}
-            for r in rows if isinstance(r, dict)
-        ],
+        "spec": vars(spec),
+        "timings": [{"P": r.get("P"), "levels": r.get("levels"),
+                     "wall_time": r.get("wall_time")} for r in rows],
     }
     if extra:
         payload.update(extra)
@@ -353,7 +346,7 @@ _FLAGS = {
     "variant": dict(choices=schwarz.VARIANTS),
     "weighting": dict(choices=schwarz.WEIGHTINGS),
     "gamma": dict(type=float),
-    "q-rule": dict(dest="q_rule", choices=("fixed", "srel4", "auto")),
+    "q-rule": dict(dest="q_rule", choices=Q_RULES),
     "q": dict(dest="q_value", type=int),
     "tolerance": dict(type=float),
     "max-iters": dict(dest="max_iters", type=int),
@@ -369,21 +362,23 @@ _FLAGS = {
 }
 _SOLVER_FLAGS = ("method", "variant", "weighting", "gamma", "q-rule", "q",
                  "tolerance", "max-iters")
-# each command takes exactly the flags its driver reads
-_COMMAND_FLAGS = {
-    "solve": ("dim", *_SOLVER_FLAGS, "levels", "level", "p"),
-    "weak-scale": ("dim", *_SOLVER_FLAGS, "s", "p-values"),
-    "strong-scale": ("dim", *_SOLVER_FLAGS, "level", "p-values"),
-    "gamma-sweep": ("dim", "method", "variant", "weighting", "q-rule", "q",
-                    "tolerance", "max-iters", "s", "p-values", "gammas"),
-    "dim-sweep": (*_SOLVER_FLAGS, "dims", "s", "p-values"),
-    "combine": ("dim", "method", "solver", "variant", "weighting", "gamma",
-                "tolerance", "max-iters", "level", "phat", "samples"),
-    "sfc-check": ("dim", "level", "samples"),
+# command -> (its ExperimentSpec.kind, exactly the flags its driver reads)
+_COMMANDS = {
+    "solve": ("single", ("dim", *_SOLVER_FLAGS, "levels", "level", "p")),
+    "weak-scale": ("weak", ("dim", *_SOLVER_FLAGS, "s", "p-values")),
+    "strong-scale": ("strong", ("dim", *_SOLVER_FLAGS, "level", "p-values")),
+    "gamma-sweep": ("gamma_sweep", ("dim", "method", "variant", "weighting",
+                                    "q-rule", "q", "tolerance", "max-iters",
+                                    "s", "p-values", "gammas")),
+    "dim-sweep": ("dim_sweep", (*_SOLVER_FLAGS, "dims", "s", "p-values")),
+    "combine": ("combine", ("dim", "method", "solver", "variant", "weighting",
+                            "gamma", "tolerance", "max-iters", "level",
+                            "phat", "samples")),
+    "sfc-check": ("sfc_check", ("dim", "level", "samples")),
 }
 # srel4 reads S, which these commands do not take; by default they use
 # the fixed q = 16, srel4's value at the default S = 8
-_NO_SREL4 = tuple(c for c, names in _COMMAND_FLAGS.items()
+_NO_SREL4 = tuple(c for c, (_, names) in _COMMANDS.items()
                   if "q-rule" in names and "s" not in names)
 
 
@@ -392,23 +387,17 @@ def _make_parser() -> argparse.ArgumentParser:
         prog="sfcdd",
         description="Space-filling-curve Schwarz solver experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in _COMMAND_FLAGS.items():
+    for command, (_, names) in _COMMANDS.items():
         # no abbreviations: --gamma and --dim must not stand for --gammas
         # and --dims on the commands that do not take them
         p = sub.add_parser(command, allow_abbrev=False)
         for name in ("seed", "out", "config", *names):
             kwargs = _FLAGS[name]
             if name == "q-rule" and command in _NO_SREL4:
-                kwargs = dict(kwargs, choices=("fixed", "auto"))
+                kwargs = dict(kwargs, choices=tuple(
+                    r for r in Q_RULES if r != "srel4"))
             p.add_argument("--" + name, default=None, **kwargs)
     return parser
-
-
-_KIND_BY_COMMAND = {
-    "solve": "single", "weak-scale": "weak", "strong-scale": "strong",
-    "gamma-sweep": "gamma_sweep", "dim-sweep": "dim_sweep",
-    "combine": "combine", "sfc-check": "sfc_check",
-}
 
 
 # config-file key (an ExperimentSpec field) -> its flag; --solver is an
@@ -447,7 +436,7 @@ def run_command(argv) -> int:
     args = vars(args)
     command = args.pop("command")
     del args["config"]
-    spec = ExperimentSpec(kind=_KIND_BY_COMMAND[command],
+    spec = ExperimentSpec(kind=_COMMANDS[command][0],
                           **{k: v for k, v in args.items() if v is not None})
     out = Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -457,22 +446,23 @@ def run_command(argv) -> int:
         for key, value in sorted(row.items()):
             if key != "wall_time":
                 print(f"# {key}={value}")
-        with open(out / "single_iterations.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            report.write_iterations_csv(fh)
+        history = enumerate(zip(report.energy_history,
+                                report.residual_history))
+        write_rows_csv(out / "single_iterations.csv",
+                       [dict(zip(ITERATION_COLUMNS, (k, e, r)))
+                        for k, (e, r) in history],
+                       columns=ITERATION_COLUMNS)
         write_rows_csv(out / "single.csv", [row])
         write_summary_json(out / "single_summary.json", spec, [row],
-                           extra={"report": report.summary() | {
-                               "levels": list(report.params["levels"])}})
+                           extra={"report": report.summary()})
         print(f"iterations={report.iterations} converged={report.converged}")
         return 0
 
     if command == "sfc-check":
         rows = run_sfc_check(spec)
-        cols = ["d", "n", "bijective", "adjacent", "holder_est", "holder_bound"]
-        write_rows_csv(out / "sfc_check.csv", rows, columns=cols)
+        write_rows_csv(out / "sfc_check.csv", rows, columns=SFC_CHECK_COLUMNS)
         for row in rows:
-            print(",".join(str(row[c]) for c in cols))
+            print(",".join(str(row[c]) for c in SFC_CHECK_COLUMNS))
         return 0
 
     if command == "combine":

@@ -7,9 +7,8 @@ recurrence, recording every iterate, until the stopping test holds or
 (requires the exact discrete solution) or the Euclidean residual norm
 dropping below ``tolerance`` times its initial value.  Reports carry the
 full per-iteration history, extremal-eigenvalue estimates where
-computed, and a parameter echo, and serialize to CSV/JSON-friendly
-records.  Identical configuration and seed give bitwise identical
-histories.
+computed, and a parameter echo; the harness writes them out.
+Identical configuration and seed give bitwise identical histories.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ class SolveReport:
     wall_time: float = 0.0
     solution: np.ndarray | None = None
     params: dict = field(default_factory=dict)
-
-    def write_iterations_csv(self, fh) -> None:
-        fh.write("k,energy_error,residual\r\n")
-        for k, res in enumerate(self.residual_history):
-            energy = repr(self.energy_history[k]) if self.energy_history else ""
-            fh.write(f"{k},{energy},{res!r}\r\n")
 
     def summary(self) -> dict:
         out = {

@@ -53,7 +53,14 @@ def disjoint_partition(n: int, p: int) -> list[CyclicRange]:
     return ranges
 
 
-def _as_fraction(gamma) -> Fraction:
+def read_gamma(gamma) -> Fraction:
+    """The overlap gamma as the nearest fraction with denominator <= 10**6.
+
+    Every reader of gamma goes through here, so NaN, +-inf and negative
+    values fail with one message.
+    """
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     # exact arithmetic for the fractional slice sizes; 0.2*15 in floats
     # would already put ceil on the wrong side
     return Fraction(gamma).limit_denominator(10**6)
@@ -61,7 +68,7 @@ def _as_fraction(gamma) -> Fraction:
 
 def overlap_fits(p: int, gamma) -> bool:
     """Whether P subdomains admit overlap gamma, i.e. 2*gamma+1 <= P exactly."""
-    return 2 * _as_fraction(gamma) + 1 <= p
+    return 2 * read_gamma(gamma) + 1 <= p
 
 
 def enlarge(disjoint: list[CyclicRange], gamma) -> list[CyclicRange]:
@@ -74,9 +81,7 @@ def enlarge(disjoint: list[CyclicRange], gamma) -> list[CyclicRange]:
     """
     p = len(disjoint)
     n = disjoint[0].modulus
-    g = _as_fraction(gamma)
-    if g < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    g = read_gamma(gamma)
     if g == 0:
         return list(disjoint)
     if not overlap_fits(p, gamma):

@@ -273,6 +273,22 @@ class TestRunCombination:
             combine.run_combination(plan, seed=7, max_iters=0, method="pcg")
         assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
 
+    @pytest.mark.parametrize("setting,message", [
+        (dict(max_iters=2.5), "max_iters must be an integer, got 2.5"),
+        (dict(method="bogus"), "unknown method 'bogus'"),
+        (dict(tolerance=-1), "tolerance must be finite and positive, got -1"),
+        (dict(variant="bogus"), "unknown variant 'bogus'"),
+        (dict(weighting="x"), "unknown weighting 'x'"),
+        (dict(gamma=-0.5), "gamma must be finite and nonnegative, got -0.5"),
+    ])
+    def test_bad_setting_fails_before_the_first_grid(self, monkeypatch,
+                                                     setting, message):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("a grid was assembled")
+        monkeypatch.setattr(grid, "assemble_laplacian", no_assembly)
+        with pytest.raises(ValueError, match=message):
+            combine.run_combination(combine.enumerate_plan(2, 4), **setting)
+
     def test_each_level_vector_is_ordered_once(self):
         plan = combine.enumerate_plan(5, 6)
         terms = list(plan.terms())

@@ -14,6 +14,10 @@ import pytest
 from sfcdd import harness
 
 
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("a grid was assembled")
+
+
 def small_spec(**kw):
     base = dict(kind="weak", dim=1, s=4, gamma=0.5, q_rule="fixed", q_value=2,
                 method="pcg", variant="balanced", weighting="omega",
@@ -165,6 +169,22 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             harness.run_model_solve((5,), 4, 0.5, 2, max_iters=2.5)
 
+    @pytest.mark.parametrize("setting,message", [
+        (dict(variant="bogus"), "unknown variant 'bogus'"),
+        (dict(weighting="x"), "unknown weighting 'x'"),
+        (dict(gamma=-1.0),
+         "gamma must be finite and nonnegative, got -1.0"),
+        (dict(gamma=math.nan),
+         "gamma must be finite and nonnegative, got nan"),
+        (dict(p=40), "P=40, N=31"),
+    ])
+    def test_bad_setting_fails_before_assembly(self, monkeypatch, setting,
+                                               message):
+        monkeypatch.setattr(harness.grid, "assemble_laplacian", _no_assembly)
+        kwargs = dict(levels=(5,), p=4, gamma=0.5, q=2) | setting
+        with pytest.raises(ValueError, match=message):
+            harness.run_model_solve(**kwargs)
+
 
 class TestQRule:
     def test_fixed(self):
@@ -204,10 +224,36 @@ class TestExperimentSpec:
         ("levels", (3, 0), "level must be positive"),
         ("p_values", (4, 2.5), "P must be an integer"),
         ("p_values", (math.nan,), "P must be an integer"),
+        ("method", "zzz", "unknown method 'zzz'"),
+        ("variant", "bogus", "unknown variant 'bogus'"),
+        ("weighting", "x", "unknown weighting 'x'"),
+        ("q_rule", "nope", "unknown q rule 'nope'"),
     ])
     def test_bad_value_rejected_on_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             harness.ExperimentSpec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("method", "zzz"), ("variant", "bogus"), ("weighting", "x"),
+        ("q_rule", "nope")])
+    def test_unknown_name_fails_before_any_grid(self, monkeypatch, field,
+                                                value):
+        monkeypatch.setattr(harness.grid, "assemble_laplacian", _no_assembly)
+        with pytest.raises(ValueError, match=f"unknown .*{value!r}"):
+            harness.run_weak_scaling(small_spec(**{field: value}))
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_bad_gamma_fails_before_any_grid(self, monkeypatch, gamma):
+        # the spec, the model solve and the combination read gamma alike
+        monkeypatch.setattr(harness.grid, "assemble_laplacian", _no_assembly)
+        message = f"gamma must be finite and nonnegative, got {gamma}"
+        with pytest.raises(ValueError, match=message):
+            harness.run_weak_scaling(small_spec(gamma=gamma))
+        with pytest.raises(ValueError, match=message):
+            harness.run_model_solve((5,), 4, gamma, 2)
+        with pytest.raises(ValueError, match=message):
+            harness.combine.run_combination(
+                harness.combine.enumerate_plan(2, 4), gamma=gamma)
 
     def test_every_field_has_exactly_one_flag(self):
         # config-file keys are field names mapped to flags, so a field
@@ -330,6 +376,29 @@ class TestCli:
         assert (tmp_path / "single_iterations.csv").exists()
         summary = json.loads((tmp_path / "single_summary.json").read_text())
         assert summary["report"]["converged"] is True
+
+    def test_single_iterations_csv_matches_the_report(self, tmp_path,
+                                                      monkeypatch):
+        reports = []
+        run_single = harness.run_single
+
+        def keep_report(spec):
+            report, row = run_single(spec)
+            reports.append(report)
+            return report, row
+        monkeypatch.setattr(harness, "run_single", keep_report)
+        harness.run_command([
+            "solve", "--dim", "1", "--level", "5", "--p", "4",
+            "--q-rule", "fixed", "--q", "2", "--out", str(tmp_path)])
+        (report,) = reports
+        raw = (tmp_path / "single_iterations.csv").read_bytes()
+        lines = raw.decode().split("\r\n")
+        assert lines[-1] == "" and "\n" not in "".join(lines)
+        assert lines[0] == "k,energy_error,residual"
+        assert len(lines[1:-1]) == len(report.residual_history)
+        assert [line.split(",") for line in lines[1:-1]] == [
+            [str(k), repr(e), repr(r)] for k, (e, r) in enumerate(
+                zip(report.energy_history, report.residual_history))]
 
     def test_solve_csv_bytes_reproducible(self, tmp_path):
         args = ["solve", "--dim", "1", "--level", "5", "--p", "4",

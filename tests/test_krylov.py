@@ -253,18 +253,6 @@ class TestFcg:
 
 
 class TestReport:
-    def test_csv_serialization(self, tmp_path):
-        Ah, op = model_setup((5,), 2, 0.5, 2)
-        x0 = krylov.initial_iterate(31, 42, Ah)
-        rep = krylov.run(Ah, np.zeros(31), op, _cfg("pcg"), x0,
-                         exact=np.zeros(31))
-        path = tmp_path / "iters.csv"
-        with open(path, "w", newline="") as fh:
-            rep.write_iterations_csv(fh)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,energy_error,residual"
-        assert len(lines) == len(rep.residual_history) + 1
-
     def test_summary_carries_params(self):
         Ah, op = model_setup((5,), 2, 0.5, 2)
         rep = krylov.run(Ah, np.zeros(31), op, _cfg("pcg"), np.zeros(31),

@@ -1,5 +1,7 @@
 """Disjoint/overlapped range arithmetic and partition-of-unity weights."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,16 @@ class TestEnlarge:
         else:
             with pytest.raises(ValueError, match="exceeds P"):
                 pt.enlarge(disjoint, gamma)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -0.5])
+    def test_every_reader_rejects_a_bad_gamma(self, gamma):
+        disjoint = pt.disjoint_partition(16, 8)
+        message = f"gamma must be finite and nonnegative, got {gamma}"
+        for read in (pt.read_gamma, lambda g: pt.overlap_fits(8, g),
+                     lambda g: pt.enlarge(disjoint, g),
+                     lambda g: pt.build_partition(16, 8, g)):
+            with pytest.raises(ValueError, match=message):
+                read(gamma)
 
 
 class TestWeights:
