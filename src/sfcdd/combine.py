@@ -19,6 +19,7 @@ import numpy as np
 
 from . import grid, krylov, schwarz
 from .coarse import build_coarse
+from .linalg import FactorizationError
 from .partition import build_partition, overlap_fits, read_gamma
 
 Levels = tuple[int, ...]
@@ -26,6 +27,12 @@ Levels = tuple[int, ...]
 
 class CombinationError(RuntimeError):
     """One or more subproblem solves failed."""
+
+
+# what run_combination collects per subproblem; any other exception is a
+# programming error and propagates with its traceback
+_SOLVER_FAILURES = (CombinationError, krylov.BreakdownError,
+                   krylov.DivergenceError, FactorizationError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -206,6 +213,7 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
     report.params.update({
         "levels": levels, "P": p, "gamma": g, "q": q,
         "variant": variant, "weighting": weighting, "N": n,
+        **schwarz.factor_nnz(op, cs),
     })
     return PartialSolution(levels, t * report.solution, report), clamps
 
@@ -232,7 +240,7 @@ def run_combination(plan: CombinationPlan, *, gamma=0.5, variant="balanced",
         try:
             partial, notes = solve_subproblem(levels, p_target, gamma=gamma,
                                               **settings)
-        except Exception as exc:  # noqa: BLE001 - aggregated below
+        except _SOLVER_FAILURES as exc:
             failures.append(f"{levels}: {exc}")
             continue
         # reorder while the subproblem's SFC permutation is still cached;

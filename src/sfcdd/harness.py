@@ -4,7 +4,8 @@ The model study solves the Laplace system A x = 0 (exact solution zero)
 after symmetric diagonal scaling, starting from a random iterate of unit
 energy norm, and iterates until the energy error drops by 1e-8.  Every
 CSV row carries the full parameter tuple and CSV bodies are byte-stable
-for a fixed seed; wall-clock times go to the JSON summary only.
+for a fixed seed; wall-clock times and factor entry counts go to the JSON
+summary only.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ CSV_COLUMNS = [
 ITERATION_COLUMNS = ["k", "energy_error", "residual"]
 SFC_CHECK_COLUMNS = ["d", "n", "bijective", "adjacent", "holder_est",
                      "holder_bound"]
+# a solve's stored factor entries (see schwarz.factor_nnz); JSON only
+FACTOR_NNZ_KEYS = ("local_factor_nnz", "coarse_factor_nnz")
+# what the JSON summary reports of each CSV row
+_TIMING_KEYS = ("P", "levels", "wall_time", *FACTOR_NNZ_KEYS)
 # how q, the coarse dofs per subdomain, is chosen; see resolve_q
 Q_RULES = ("fixed", "srel4", "auto")
 
@@ -123,7 +128,7 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     report.params.update({
         "d": len(levels), "levels": levels, "N": n, "P": p, "gamma": gamma,
         "q": q, "variant": variant, "weighting": weighting, "method": method,
-        "seed": seed,
+        "seed": seed, **schwarz.factor_nnz(op, cs),
     })
     return report
 
@@ -142,6 +147,7 @@ def _fill_report(row: dict, report: krylov.SolveReport) -> dict:
         row["lambda_min"] = f"{report.lambda_min:.12g}"
         row["lambda_max"] = f"{report.lambda_max:.12g}"
     row["wall_time"] = report.wall_time
+    row.update({key: report.params[key] for key in FACTOR_NNZ_KEYS})
     return row
 
 
@@ -301,8 +307,7 @@ def write_rows_csv(path, rows, columns=None) -> None:
 def write_summary_json(path, spec: ExperimentSpec, rows, extra=None) -> None:
     payload = {
         "spec": vars(spec),
-        "timings": [{"P": r.get("P"), "levels": r.get("levels"),
-                     "wall_time": r.get("wall_time")} for r in rows],
+        "timings": [{key: r.get(key) for key in _TIMING_KEYS} for r in rows],
     }
     if extra:
         payload.update(extra)
@@ -444,7 +449,7 @@ def run_command(argv) -> int:
     if command == "solve":
         report, row = run_single(spec)
         for key, value in sorted(row.items()):
-            if key != "wall_time":
+            if key in CSV_COLUMNS:  # the JSON-only keys are not echoed
                 print(f"# {key}={value}")
         history = enumerate(zip(report.energy_history,
                                 report.residual_history))

@@ -9,12 +9,17 @@ either a matrix or the CSC arrays ``(data, indices, indptr, n)`` of one,
 as :func:`sfcdd.schwarz.principal_block` cuts them; both reach SuperLU
 as the same arrays, so both give the same factors bit for bit.  A
 matrix in CSC is read as it is, without a copy (its duplicate entries
-are summed and its indices sorted in place, as ``splu`` does).
+are summed and its indices sorted in place, as ``splu`` does).  A
+factorization keeps SuperLU's own storage of L and U and, of SuperLU's
+CSC export of the two, only their entry counts and U's diagonal, not a
+second copy of their entries.
 Factorizations are immutable after construction and their solves are
 safe to call concurrently.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,12 +72,39 @@ def _superlu_arrays(data, indices, indptr, n):
             np.asarray(indptr).astype(np.intc, copy=False))
 
 
+class _ExportedFactor(NamedTuple):
+    """What a factorization keeps of SuperLU's export of L or U."""
+
+    nnz: int  # stored entries
+    diagonal: np.ndarray
+
+
+def _read_export(arrays, shape) -> _ExportedFactor:
+    """SuperLU's ``csc_construct_func``: a factor's entry count and diagonal.
+
+    SuperLU exports L or U as ``(data, indices, indptr)`` in CSC and caches
+    what this returns for the life of the factorization, so a CSC matrix
+    here would keep a second copy of every entry.  The arrays can be
+    longer than the ``indptr[-1]`` entries they hold.  A column with no
+    stored diagonal entry reads 0 there, as a sparse matrix's
+    ``diagonal()`` does, which sums any duplicates in the same order.
+    """
+    data, indices, indptr = arrays
+    nnz = int(indptr[-1])
+    col = np.repeat(np.arange(shape[1]), np.diff(indptr))
+    on_diagonal = indices[:nnz] == col
+    diagonal = np.bincount(col[on_diagonal], weights=data[:nnz][on_diagonal],
+                           minlength=min(shape))
+    return _ExportedFactor(nnz, diagonal)
+
+
 class Factorization:
     """Direct solver for a symmetric positive definite matrix.
 
     ``A`` is a square matrix in any format scipy.sparse converts to CSC,
     or the tuple ``(data, indices, indptr, n)`` of the CSC arrays of an
-    n x n matrix with sorted row indices and no duplicates.
+    n x n matrix with sorted row indices and no duplicates.  ``nnz`` is
+    the number of entries stored in L and U.
     """
 
     def __init__(self, A):
@@ -81,15 +113,16 @@ class Factorization:
         self.n = n
         try:
             lu = _superlu.gstrf(n, len(data), data, indices, indptr,
-                                csc_construct_func=sp.csc_array, ilu=False,
+                                csc_construct_func=_read_export, ilu=False,
                                 options=_SUPERLU_OPTIONS)
         except RuntimeError as exc:  # exactly singular
             raise FactorizationError(f"SuperLU failed: {exc}") from exc
         # a zero diagonal pivot sends SuperLU off the diagonal, which
         # leaves the row order different from the column order
         if (not np.array_equal(lu.perm_r, lu.perm_c)
-                or np.any(lu.U.diagonal() <= 0.0)):
+                or not np.all(lu.U.diagonal > 0.0)):
             raise FactorizationError("nonpositive pivot, matrix is not SPD")
+        self.nnz = lu.L.nnz + lu.U.nnz
         self._lu = lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -186,6 +186,13 @@ class SchwarzOperator:
         return w - F(self.A @ w) + fg
 
 
+def factor_nnz(op: SchwarzOperator, coarse: CoarseSpace | None) -> dict:
+    """Stored entries of the distinct local factors and of the coarse factor."""
+    distinct = {id(f): f.nnz for f in op._factorizations}
+    return {"local_factor_nnz": sum(distinct.values()),
+            "coarse_factor_nnz": coarse.factorization.nnz if coarse else 0}
+
+
 def setup(A, part: Partition, coarse: CoarseSpace | None,
           config: SchwarzConfig) -> SchwarzOperator:
     """Extract and factorize all subdomain blocks; returns the operator.

@@ -273,6 +273,13 @@ class TestRunCombination:
             combine.run_combination(plan, seed=7, max_iters=0, method="pcg")
         assert "(1, 4)" in str(err.value) and "(4, 1)" in str(err.value)
 
+    def test_programming_error_keeps_its_traceback(self, monkeypatch):
+        def broken_assembly(*args, **kwargs):
+            raise AssertionError("a grid was assembled")
+        monkeypatch.setattr(grid, "assemble_laplacian", broken_assembly)
+        with pytest.raises(AssertionError, match="a grid was assembled"):
+            combine.run_combination(combine.enumerate_plan(2, 4))
+
     @pytest.mark.parametrize("setting,message", [
         (dict(max_iters=2.5), "max_iters must be an integer, got 2.5"),
         (dict(method="bogus"), "unknown method 'bogus'"),

@@ -377,6 +377,21 @@ class TestCli:
         summary = json.loads((tmp_path / "single_summary.json").read_text())
         assert summary["report"]["converged"] is True
 
+    def test_factor_entries_go_to_the_json_summary_only(self, tmp_path):
+        argv = ["solve", "--dim", "1", "--level", "9", "--p", "8",
+                "--q-rule", "fixed", "--q", "2", "--out", str(tmp_path)]
+        assert harness.run_command(argv) == 0
+        summary = json.loads((tmp_path / "single_summary.json").read_text())
+        report = harness.run_model_solve((9,), 8, 0.5, 2)
+        counts = {key: report.params[key] for key in harness.FACTOR_NNZ_KEYS}
+        assert all(isinstance(v, int) and v > 0 for v in counts.values())
+        assert {k: summary["report"][k] for k in counts} == counts
+        (timing,) = summary["timings"]
+        assert {k: timing[k] for k in counts} == counts
+        csv_text = (tmp_path / "single.csv").read_text()
+        assert str(counts["local_factor_nnz"]) not in csv_text
+        assert str(counts["coarse_factor_nnz"]) not in csv_text
+
     def test_single_iterations_csv_matches_the_report(self, tmp_path,
                                                       monkeypatch):
         reports = []
@@ -502,6 +517,8 @@ class TestCli:
         assert code == 0
         summary = json.loads((tmp_path / "combine_summary.json").read_text())
         assert summary["combination"]["subproblems"] == 7
+        assert all(t["local_factor_nnz"] > 0 and t["coarse_factor_nnz"] > 0
+                   for t in summary["timings"])
         assert summary["combination"]["max_error"] < 0.05
 
     def test_failure_prints_machine_readable_error(self, tmp_path, capsys):

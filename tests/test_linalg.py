@@ -77,16 +77,21 @@ class TestAgainstSplu:
 
     @staticmethod
     def assert_same_factor(F, ref, n):
+        """Same permutations, entry counts, pivots and inverse as splu.
+
+        The factorization keeps no copy of L and U, so their entries are
+        compared through the solve of every unit vector, i.e. the whole
+        inverse A^-1 = P_c U^-1 L^-1 P_r, bit for bit.
+        """
         lu = F._lu
+        assert not sp.issparse(lu.L) and not sp.issparse(lu.U)
         assert np.array_equal(lu.perm_r, ref.perm_r)
         assert np.array_equal(lu.perm_c, ref.perm_c)
-        for mine, theirs in ((lu.L, ref.L), (lu.U, ref.U)):
-            assert mine.format == theirs.format == "csc"
-            assert np.array_equal(mine.indptr, theirs.indptr)
-            assert np.array_equal(mine.indices, theirs.indices)
-            assert mine.data.tobytes() == theirs.data.tobytes()
-        b = np.random.default_rng(n).standard_normal(n)
-        assert F.solve(b).tobytes() == ref.solve(b).tobytes()
+        assert (lu.L.nnz, lu.U.nnz) == (ref.L.nnz, ref.U.nnz)
+        assert F.nnz == ref.L.nnz + ref.U.nnz
+        assert lu.U.diagonal.tobytes() == ref.U.diagonal().tobytes()
+        eye = np.eye(n)
+        assert F.solve(eye).tobytes() == ref.solve(eye).tobytes()
 
     def test_random_spd(self):
         A = random_spd(50, 21)
@@ -117,6 +122,67 @@ class TestAgainstSplu:
              "csc-duplicates": duplicated_csc(A),
              "arrays": csc_arrays(A)}[fmt]
         self.assert_same_factor(linalg.factorize(M), splu_reference(A), 40)
+
+
+class FakeSuperLU:
+    """What gstrf returns, exporting hand-made CSC triples for L and U."""
+
+    def __init__(self, n, construct, L, U):
+        self.perm_r = self.perm_c = np.arange(n)
+        self.L = construct(L, (n, n))
+        self.U = construct(U, (n, n))
+
+
+class TestExportReader:
+    """The csc_construct_func that keeps an entry count and U's diagonal."""
+
+    # U = [[2, 1], [0, 3]] in CSC, then two stale slots past indptr[-1]
+    # whose row indices point at the diagonal
+    LONG_U = (np.array([2.0, 1.0, 3.0, -7.0, -7.0]),
+              np.array([0, 0, 1, 1, 1], dtype=np.intc),
+              np.array([0, 1, 3], dtype=np.intc))
+    # U = [[2, 1], [0, 0]] with U[1, 1] not stored at all
+    NO_DIAGONAL_U = (np.array([2.0, 1.0]), np.array([0, 0], dtype=np.intc),
+                     np.array([0, 1, 2], dtype=np.intc))
+    UNIT_L = (np.ones(2), np.array([0, 1], dtype=np.intc),
+              np.array([0, 1, 2], dtype=np.intc))
+
+    @staticmethod
+    def factorize_with_export(monkeypatch, U):
+        def fake_gstrf(n, nnz, data, indices, indptr, *, csc_construct_func,
+                       **_):
+            return FakeSuperLU(n, csc_construct_func,
+                               TestExportReader.UNIT_L, U)
+        monkeypatch.setattr(linalg._superlu, "gstrf", fake_gstrf)
+        return linalg.factorize(sp.csr_matrix(np.array([[2.0, 1.0],
+                                                        [1.0, 3.0]])))
+
+    def test_counts_only_entries_before_the_end_pointer(self):
+        record = linalg._read_export(self.LONG_U, (2, 2))
+        assert record.nnz == 3
+        assert record.diagonal.tolist() == [2.0, 3.0]
+
+    def test_missing_diagonal_reads_zero(self):
+        record = linalg._read_export(self.NO_DIAGONAL_U, (2, 2))
+        assert record.nnz == 2
+        assert record.diagonal.tolist() == [2.0, 0.0]
+
+    def test_diagonal_matches_scipy(self):
+        for arrays in (self.LONG_U, self.NO_DIAGONAL_U, self.UNIT_L):
+            data, indices, indptr = arrays
+            end = indptr[-1]
+            M = sp.csc_array((data[:end], indices[:end], indptr), shape=(2, 2))
+            record = linalg._read_export(arrays, (2, 2))
+            assert record.nnz == M.nnz
+            assert record.diagonal.tobytes() == M.diagonal().tobytes()
+
+    def test_long_export_factorizes(self, monkeypatch):
+        F = self.factorize_with_export(monkeypatch, self.LONG_U)
+        assert F.nnz == 2 + 3
+
+    def test_missing_diagonal_is_a_zero_pivot(self, monkeypatch):
+        with pytest.raises(linalg.FactorizationError, match="not SPD"):
+            self.factorize_with_export(monkeypatch, self.NO_DIAGONAL_U)
 
 
 class TestFactorize:

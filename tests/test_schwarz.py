@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
@@ -308,6 +309,25 @@ class TestSharedFactors:
             g = rng.standard_normal(part.n)
             assert np.array_equal(op.apply(g),
                                   per_range_reference(A, part, weighting, g))
+
+    def test_factor_nnz_counts_each_distinct_factor_once(self):
+        def splu_nnz(M):
+            lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            return lu.L.nnz + lu.U.nnz
+        # (9,), P = 8: ranges 1-5 share one factor; 0, 1, 6, 7 are distinct
+        A, part, cs, op = make_operator((9,), 8, 0.5, 2)
+        local = 0
+        for i in (0, 1, 6, 7):
+            data, indices, indptr, m = principal_block(A, part.overlapped[i])
+            local += splu_nnz(sp.csc_matrix((data, indices, indptr),
+                                            shape=(m, m)))
+        assert schwarz.factor_nnz(op, cs) == {
+            "local_factor_nnz": local,
+            "coarse_factor_nnz": splu_nnz(cs.matrix)}
+        assert local < sum(f.nnz for f in op._factorizations)
+        assert schwarz.factor_nnz(op, None)["coarse_factor_nnz"] == 0
 
     def test_model_solve_blocks_are_distinct(self):
         # perfbench's test_layer_counts_of_a_model_solve counts P + 1
