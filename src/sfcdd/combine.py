@@ -201,9 +201,11 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
         clamps.append(f"levels={levels}: gamma clamped {g} -> 0 (P={p})")
         g = 0.0
     q = default_q_rule(n, p)
-    A = grid.assemble_laplacian(levels)
-    b = grid.sample_on_grid(problem.rhs, levels)
-    A_hat, b_hat, t = grid.symmetrize_diag(A, b)
+    # A is not kept: alive while the coarse factor is built, it keeps the
+    # heap from reusing SuperLU's freed workspace (README.md, Memory)
+    A_hat, b_hat, t = grid.symmetrize_diag(
+        grid.assemble_laplacian(levels),
+        grid.sample_on_grid(problem.rhs, levels))
     part = build_partition(n, p, g)
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)

@@ -4,8 +4,8 @@ The model study solves the Laplace system A x = 0 (exact solution zero)
 after symmetric diagonal scaling, starting from a random iterate of unit
 energy norm, and iterates until the energy error drops by 1e-8.  Every
 CSV row carries the full parameter tuple and CSV bodies are byte-stable
-for a fixed seed; wall-clock times and factor entry counts go to the JSON
-summary only.
+for a fixed seed; wall-clock times, factor entry counts and the peak
+resident set go to the JSON summary only.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import numbers
+import resource
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -119,8 +120,10 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
     n = grid.num_dofs(levels)
     part = build_partition(n, p, gamma)
-    A = grid.assemble_laplacian(levels)
-    A_hat, b_hat, _ = grid.symmetrize_diag(A, np.zeros(n))
+    # A is not kept: alive while the coarse factor is built, it keeps the
+    # heap from reusing SuperLU's freed workspace (README.md, Memory)
+    A_hat, b_hat, _ = grid.symmetrize_diag(grid.assemble_laplacian(levels),
+                                           np.zeros(n))
     cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
     op = schwarz.setup(A_hat, part, cs, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
@@ -304,10 +307,16 @@ def write_rows_csv(path, rows, columns=None) -> None:
             writer.writerow([row.get(c, "") for c in columns])
 
 
+def peak_rss_mib() -> float:
+    """This process's peak resident set so far (``ru_maxrss``, KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def write_summary_json(path, spec: ExperimentSpec, rows, extra=None) -> None:
     payload = {
         "spec": vars(spec),
         "timings": [{key: r.get(key) for key in _TIMING_KEYS} for r in rows],
+        "peak_rss_mib": peak_rss_mib(),
     }
     if extra:
         payload.update(extra)

@@ -127,9 +127,9 @@ def estimate_extremal_eigs(A, apply_c, *, seed: int):
         w = apply_c(aq)
         alpha = float(w @ aq)  # (w, q) in the A-inner product
         alphas.append(alpha)
-        w = w - alpha * q
+        w = w - alpha * q  # a copy: apply_c's output is not ours to update
         if q_prev is not None:
-            w = w - betas[-1] * q_prev
+            w -= betas[-1] * q_prev
         lam = sla.eigvalsh_tridiagonal(alphas, betas)
         lam_lo, lam_hi = float(lam[0]), float(lam[-1])
         if prev is not None:
@@ -144,7 +144,9 @@ def estimate_extremal_eigs(A, apply_c, *, seed: int):
         if beta <= 1e-14 * max(abs(alpha), 1.0):
             break
         betas.append(beta)
-        q_prev, q, aq = q, w / beta, aw / beta
+        w /= beta
+        aw /= beta
+        q_prev, q, aq = q, w, aw
     return lam_lo, lam_hi
 
 
@@ -169,7 +171,9 @@ class _Tracker:
         if self.exact is not None:
             e = x - self.exact
             # A e = (b - r) - A x_exact, so no extra matvec is needed
-            energy = float(np.sqrt(max(e @ (self.b - r - self.a_exact), 0.0)))
+            ae = self.b - r
+            ae -= self.a_exact
+            energy = float(np.sqrt(max(e @ ae, 0.0)))
             self.energy_history.append(energy)
         if not all(math.isfinite(v) for v in [res, *self.energy_history[-1:]]):
             raise BreakdownError(
@@ -196,7 +200,7 @@ def _richardson(A, b, apply_c, xi, x, r):
     """Damped preconditioned Richardson: x += xi * C^-1 r, r = b - A x."""
     while True:
         x += xi * apply_c(r)
-        r[:] = b - A @ x
+        np.subtract(b, A @ x, out=r)
         yield
 
 
@@ -222,7 +226,8 @@ def _pcg(A, apply_c, x, r):
         yield
         z = apply_c(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
 
 
@@ -232,9 +237,10 @@ def _fcg(A, apply_c, x, r):
     are admissible."""
     directions: list[tuple[np.ndarray, np.ndarray, float]] = []
     for k in count(1):
-        p = apply_c(r)
+        # a copy: apply_c may return r itself, which _descend updates
+        p = np.array(apply_c(r))
         for pj, Apj, pApj in directions:
-            p = p - (float(p @ Apj) / pApj) * pj
+            p -= (float(p @ Apj) / pApj) * pj
         Ap, pAp = _descend(A, x, r, p, float(p @ r), k)
         directions.append((p, Ap, pAp))
         yield

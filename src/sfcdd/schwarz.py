@@ -175,15 +175,24 @@ class SchwarzOperator:
         if variant == "one_level":
             return self._one_level(g)
         F = self._deflation.coarse_correction
+        # w and the product A F g are arrays of this call, so they are
+        # updated in place; g is never written
         if variant == "additive_two_level":
-            return self._one_level(g) + F(g)
+            w = self._one_level(g)
+            w += F(g)
+            return w
         if variant == "deflated":
             w = self._one_level(g)
-            return w - F(self.A @ w) + F(g)
+            w -= F(self.A @ w)
+            w += F(g)
+            return w
         # balanced
         fg = F(g)
-        w = self._one_level(g - self.A @ fg)
-        return w - F(self.A @ w) + fg
+        r = self.A @ fg
+        w = self._one_level(np.subtract(g, r, out=r))
+        w -= F(self.A @ w)
+        w += fg
+        return w
 
 
 def factor_nnz(op: SchwarzOperator, coarse: CoarseSpace | None) -> dict:

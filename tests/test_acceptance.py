@@ -5,7 +5,9 @@ criteria (6a, 6b, 8) dominate; the whole module takes on the order of
 15 minutes on one core.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,24 @@ def check(num: str, ok: bool, detail: str) -> None:
     print(f"\ncriterion {num}: {'PASS' if ok else 'FAIL'} - {detail}",
           flush=True)
     assert ok, f"criterion {num}: {detail}"
+
+
+# the exact iteration counts of criteria 6a, 6b and 8, by case and method
+PINNED = json.loads(Path(__file__).with_name("acceptance_counts.json")
+                    .read_text(encoding="utf-8"))
+
+
+def check_pinned(num: str, counts: dict) -> None:
+    """Besides its bands, a criterion's counts equal the committed ones.
+
+    A change that moves a count on purpose updates acceptance_counts.json
+    and says which cases moved and why.
+    """
+    pinned = PINNED[num]
+    moved = {case: (got, pinned.get(case)) for case, got in counts.items()
+             if got != pinned.get(case)}
+    check(f"{num} (pinned counts)", counts == pinned,
+          f"{len(counts)} cases, moved (now, pinned): {moved}")
 
 
 def model_runs(levels, p, gamma, q, methods, weighting="omega", seed=42):
@@ -188,23 +208,30 @@ def test_criterion_6a_weak_scaling_iteration_counts_d1():
     check("6a", ok_pcg and ok_rich and ok_flat,
           f"pcg max {max(pcg_all.values())} <= 34; richardson plateau "
           f"within 145+-25 (P >= 32), relative spreads {spreads}")
+    check_pinned("6a", {f"S={s} P={p}": {"pcg": pcg_all[(s, p)],
+                                         "richardson": rich_all[(s, p)]}
+                        for s, p in pcg_all})
 
 
 @pytest.mark.slow
 def test_criterion_6b_weak_scaling_plateau_d6():
     context = {}
+    counts = {}
     for p in (16, 32):
         reps = model_runs((2,) * 6, p, 0.5, 16, ("pcg", "richardson"))
         context[p] = (reps["richardson"].iterations, reps["pcg"].iterations)
+        counts[f"l=2 P={p}"] = {m: r.iterations for m, r in reps.items()}
     # largest desk-feasible point: l=3 isotropic, N=117649, q=16 intact
     reps = model_runs((3,) * 6, 1024, 0.5, 16, ("pcg", "richardson"))
     rich, pcg = reps["richardson"].iterations, reps["pcg"].iterations
+    counts["l=3 P=1024"] = {m: r.iterations for m, r in reps.items()}
     print(f"  d=6 context (N=729): {context}; plateau P=1024: "
           f"richardson {rich}, pcg {pcg}", flush=True)
     ok = (26 - 7 <= rich <= 26 + 7) and (16 - 4 <= pcg <= 16 + 4)
     check("6b", ok,
           f"d=6 plateau at P=1024: richardson {rich} in 26+-7, "
           f"pcg {pcg} in 16+-4")
+    check_pinned("6b", counts)
 
 
 def test_criterion_7_subdomain_totals_d1_to_d5():
@@ -258,6 +285,8 @@ def test_criterion_8_weighting_coincidence():
           "balanced richardson counts identical for unweighted/omega/D "
           "weightings at every P; pcg identical up to one stopping-threshold "
           "iteration")
+    check_pinned("8", {f"P={p} {w}": {"pcg": pcg, "richardson": rich}
+                       for (p, w), (rich, pcg) in results.items()})
 
 
 def test_criterion_9_combination_convergence():

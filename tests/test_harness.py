@@ -392,6 +392,24 @@ class TestCli:
         assert str(counts["local_factor_nnz"]) not in csv_text
         assert str(counts["coarse_factor_nnz"]) not in csv_text
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--dim", "1", "--level", "5", "--p", "4"],
+        ["weak-scale", "--dim", "1", "--s", "3", "--p-values", "2,4"],
+        ["strong-scale", "--level", "5", "--p-values", "2,4"],
+        ["gamma-sweep", "--s", "3", "--p-values", "4", "--gammas", "0.5"],
+        ["dim-sweep", "--dims", "1,2", "--s", "3", "--p-values", "4"],
+        ["combine", "--dim", "2", "--level", "3", "--samples", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_peak_rss_goes_to_the_json_summary_only(self, tmp_path, capsys,
+                                                   argv):
+        assert harness.run_command([*argv, "--out", str(tmp_path)]) == 0
+        kind = harness._COMMANDS[argv[0]][0]
+        summary = json.loads((tmp_path / f"{kind}_summary.json").read_text())
+        assert 0.0 < summary["peak_rss_mib"] <= harness.peak_rss_mib()
+        header = (tmp_path / f"{kind}.csv").read_text().splitlines()[0]
+        assert header.split(",") == harness.CSV_COLUMNS
+        assert "peak_rss_mib" not in capsys.readouterr().out
+
     def test_single_iterations_csv_matches_the_report(self, tmp_path,
                                                       monkeypatch):
         reports = []

@@ -262,6 +262,31 @@ class TestReport:
         assert s["method"] == "pcg" and s["P"] == 2 and "wall_time" in s
 
 
+class ReturnsItsArgument:
+    """The identity as a preconditioner whose output aliases its input."""
+
+    symmetric = True
+
+    def apply(self, v):
+        return v
+
+
+@pytest.mark.parametrize("method", krylov.METHODS)
+def test_preconditioner_output_may_alias_its_input(method):
+    # the methods update their own arrays in place; an apply that returns
+    # the residual itself must not be updated with them
+    zero = np.zeros(31)
+    Ah, _, _ = grid.symmetrize_diag(grid.assemble_laplacian((5,)), zero)
+    x0 = krylov.initial_iterate(31, 42, Ah)
+    cfg = _cfg(method, max_iters=40)
+    ref = krylov.run(Ah, zero, None, cfg, x0, exact=zero)
+    got = krylov.run(Ah, zero, ReturnsItsArgument(), cfg, x0, exact=zero)
+    assert got.iterations == ref.iterations > 0
+    assert got.residual_history == ref.residual_history
+    assert got.energy_history == ref.energy_history
+    assert np.array_equal(got.solution, ref.solution)
+
+
 @pytest.mark.parametrize("method", ["richardson", "pcg", "fcg"])
 def test_nan_rhs_raises_within_two_iterations(method):
     Ah, op = model_setup((6,), 4, 0.5, 4)

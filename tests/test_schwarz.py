@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
 from sfcdd.partition import CyclicRange, build_partition
-from sfcdd.schwarz import WEIGHTINGS, SchwarzConfig, principal_block, setup
+from sfcdd.schwarz import (VARIANTS, WEIGHTINGS, SchwarzConfig,
+                           principal_block, setup)
 from weights_reference import compute_weights
 
 
@@ -276,6 +277,16 @@ class TestApply:
         for g in (rng.integers(-3, 4, 31), np.ones(31, dtype=np.int64),
                   rng.standard_normal(31).astype(np.float32)):
             assert np.array_equal(op.apply(g), op.apply(g.astype(np.float64)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_input_unchanged_and_output_new(self, variant):
+        # apply updates its own arrays in place, never g
+        _, _, _, op = make_operator((5,), 4, 0.5, 2, variant)
+        g = np.random.default_rng(14).standard_normal(31)
+        before = g.copy()
+        out = op.apply(g)
+        assert np.array_equal(g, before)
+        assert not np.shares_memory(out, g)
 
     def test_dimension_check(self):
         _, _, _, op = make_operator((5,), 4, 0.5, 2)
