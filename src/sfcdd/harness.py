@@ -4,8 +4,8 @@ The model study solves the Laplace system A x = 0 (exact solution zero)
 after symmetric diagonal scaling, starting from a random iterate of unit
 energy norm, and iterates until the energy error drops by 1e-8.  Every
 CSV row carries the full parameter tuple and CSV bodies are byte-stable
-for a fixed seed; wall-clock times, factor entry counts and the peak
-resident set go to the JSON summary only.
+for a fixed seed; wall-clock times, factor entry counts, the coarse CG
+probe's iterations and the peak resident set go to the JSON summary only.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ CSV_COLUMNS = [
 ITERATION_COLUMNS = ["k", "energy_error", "residual"]
 SFC_CHECK_COLUMNS = ["d", "n", "bijective", "adjacent", "holder_est",
                      "holder_bound"]
-# a solve's stored factor entries (see schwarz.factor_nnz); JSON only
-FACTOR_NNZ_KEYS = ("local_factor_nnz", "coarse_factor_nnz")
+# a solve's stored factor entries and coarse CG probe iterations (see
+# schwarz.factor_nnz); JSON only
+FACTOR_KEYS = ("local_factor_nnz", "coarse_factor_nnz", "coarse_cg_iterations")
 # what the JSON summary reports of each CSV row
-_TIMING_KEYS = ("P", "levels", "wall_time", *FACTOR_NNZ_KEYS)
+_TIMING_KEYS = ("P", "levels", "wall_time", *FACTOR_KEYS)
 # how q, the coarse dofs per subdomain, is chosen; see resolve_q
 Q_RULES = ("fixed", "srel4", "auto")
 
@@ -150,7 +151,7 @@ def _fill_report(row: dict, report: krylov.SolveReport) -> dict:
         row["lambda_min"] = f"{report.lambda_min:.12g}"
         row["lambda_max"] = f"{report.lambda_max:.12g}"
     row["wall_time"] = report.wall_time
-    row.update({key: report.params[key] for key in FACTOR_NNZ_KEYS})
+    row.update({key: report.params[key] for key in FACTOR_KEYS})
     return row
 
 

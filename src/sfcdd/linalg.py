@@ -15,10 +15,22 @@ CSC export of the two, only their entry counts and U's diagonal, not a
 second copy of their entries.
 Factorizations are immutable after construction and their solves are
 safe to call concurrently.
+
+:class:`JacobiCG` has the same interface (``n``, ``nnz``, ``solve``) and
+solves by Jacobi-preconditioned CG instead of a factor.  Every solve
+starts from zero and stops once the recursive residual meets
+‖r‖ ≤ ``CG_TOLERANCE`` ‖b‖; a solve that needs more than
+``CG_MAX_ITERATIONS`` iterations raises :class:`FactorizationError`, so
+no solve is silently inexact.  Construction runs one such solve on a
+right-hand side from a fixed seed, the probe, and raises the same error
+if it misses, so only a matrix on which CG converges fast is kept.
+:mod:`sfcdd.coarse` uses it for large, well-conditioned coarse matrices,
+whose sparse LU is nearly dense.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +49,20 @@ from scipy.sparse.linalg._dsolve import _superlu
 _SUPERLU_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="MMD_AT_PLUS_A",
                         PanelSize=None, Relax=None, SymmetricMode=True)
 _INTC_MAX = np.iinfo(np.intc).max
+
+# JacobiCG's stopping test, ||r|| <= CG_TOLERANCE ||b|| on the recursive
+# residual.  At 1e-14 its solves agree with SuperLU's to about 1e-14
+# relative on the coarse matrices of d = 2-6, and every outer iteration
+# count stays that of the factor; at 1e-8 counts or Richardson's extremal
+# eigenvalue estimates move on small grids (tests/test_coarse_cg.py)
+CG_TOLERANCE = 1e-14
+# the probe takes 39 iterations on d6-pcg's coarse matrix, where
+# kappa(D^-1 A) is 4.7-9.1; on a d = 1 coarse matrix (tridiagonal,
+# kappa ~ n^2) it hits this cap after about 6 ms at n = 8,192, and the
+# matrix is factorized
+CG_MAX_ITERATIONS = 100
+# the probe's right-hand side; any fixed seed, independent of the solve's
+_CG_PROBE_SEED = 0
 
 
 class FactorizationError(RuntimeError):
@@ -133,6 +159,71 @@ class Factorization:
 
 def factorize(A) -> Factorization:
     return Factorization(A)
+
+
+class JacobiCG:
+    """Solver for a symmetric positive definite matrix by Jacobi-PCG.
+
+    ``A`` is a square matrix in any format scipy.sparse converts to CSR.
+    There is no factor, so ``nnz`` is 0.  ``probe_iterations`` is the
+    iteration count of the probe solve (see the module docstring).
+    """
+
+    nnz = 0
+    # perfbench's spans.factor_nnz reads a factor's _lu; ROADMAP item 1
+    # drops that hook, and this attribute with it
+    _lu = None
+
+    def __init__(self, A):
+        A = sp.csr_matrix(A)
+        n, m = A.shape
+        if n != m:
+            raise ValueError(f"matrix is not square: {A.shape}")
+        diagonal = A.diagonal()
+        if not np.all(np.isfinite(diagonal) & (diagonal > 0.0)):
+            raise FactorizationError("nonpositive diagonal, matrix is not SPD")
+        self.n = n
+        self._A = A
+        self._inv_diagonal = 1.0 / diagonal
+        probe = np.random.default_rng(_CG_PROBE_SEED).standard_normal(n)
+        self.probe_iterations = self._iterate(probe)[1]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if b.shape != (self.n,):
+            raise ValueError(f"dimension mismatch: n={self.n}, b has shape {b.shape}")
+        return self._iterate(b)[0]
+
+    def _iterate(self, b):
+        """(x, iterations) of CG from zero, or FactorizationError."""
+        b_norm = math.sqrt(float(b @ b))
+        if not math.isfinite(b_norm):
+            raise ValueError("right-hand side is not finite")
+        x = np.zeros(self.n)
+        if b_norm == 0.0:
+            return x, 0
+        A, inv_diagonal = self._A, self._inv_diagonal
+        r = np.array(b, dtype=np.float64)
+        z = inv_diagonal * r
+        p = z.copy()
+        rz = float(r @ z)
+        for k in range(1, CG_MAX_ITERATIONS + 1):
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if not pAp > 0.0:
+                raise FactorizationError(
+                    f"nonpositive CG curvature at iteration {k}, matrix is not SPD")
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if math.sqrt(float(r @ r)) <= CG_TOLERANCE * b_norm:
+                return x, k
+            np.multiply(inv_diagonal, r, out=z)
+            rz, rz_old = float(r @ z), rz
+            p *= rz / rz_old
+            p += z
+        raise FactorizationError(
+            f"CG missed ||r|| <= {CG_TOLERANCE:g} ||b|| in "
+            f"{CG_MAX_ITERATIONS} iterations")
 
 
 def triple_product(R, A) -> sp.csr_matrix:

@@ -196,10 +196,16 @@ class SchwarzOperator:
 
 
 def factor_nnz(op: SchwarzOperator, coarse: CoarseSpace | None) -> dict:
-    """Stored entries of the distinct local factors and of the coarse factor."""
+    """Stored entries of the distinct local factors and of the coarse factor.
+
+    A coarse problem solved by CG stores no factor; ``coarse_cg_iterations``
+    is then its probe's iteration count, and 0 otherwise.
+    """
     distinct = {id(f): f.nnz for f in op._factorizations}
+    solver = coarse.factorization if coarse else None
     return {"local_factor_nnz": sum(distinct.values()),
-            "coarse_factor_nnz": coarse.factorization.nnz if coarse else 0}
+            "coarse_factor_nnz": solver.nnz if solver else 0,
+            "coarse_cg_iterations": getattr(solver, "probe_iterations", 0)}
 
 
 def setup(A, part: Partition, coarse: CoarseSpace | None,

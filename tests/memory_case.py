@@ -7,7 +7,8 @@ The arguments are the levels (comma separated), P and q.  The solve is
 ``harness.run_model_solve`` with its defaults (balanced, omega, PCG),
 gamma = 1/2 and seed 1, on one BLAS thread.  The line holds the
 process's peak resident set (``ru_maxrss``) in MiB, the iteration count,
-the number of distinct local factors and the stored factor entries.
+the number of distinct local factors, the stored factor entries and the
+coarse CG probe's iterations (0 when the coarse matrix is factorized).
 ``tests/test_memory.py`` runs it; the Memory table of ``README.md``
 comes from it.
 """
@@ -41,7 +42,8 @@ def main(argv) -> dict:
             "iterations": report.iterations,
             "distinct_factors": len({id(f) for f in operators[0]._factorizations}),
             "local_factor_nnz": report.params["local_factor_nnz"],
-            "coarse_factor_nnz": report.params["coarse_factor_nnz"]}
+            "coarse_factor_nnz": report.params["coarse_factor_nnz"],
+            "coarse_cg_iterations": report.params["coarse_cg_iterations"]}
 
 
 if __name__ == "__main__":

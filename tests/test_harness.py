@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sfcdd import harness
+from sfcdd import coarse, harness
 
 
 def _no_assembly(*args, **kwargs):
@@ -377,20 +377,34 @@ class TestCli:
         summary = json.loads((tmp_path / "single_summary.json").read_text())
         assert summary["report"]["converged"] is True
 
-    def test_factor_entries_go_to_the_json_summary_only(self, tmp_path):
+    def test_factor_entries_go_to_the_json_summary_only(self, tmp_path,
+                                                        monkeypatch):
         argv = ["solve", "--dim", "1", "--level", "9", "--p", "8",
-                "--q-rule", "fixed", "--q", "2", "--out", str(tmp_path)]
-        assert harness.run_command(argv) == 0
-        summary = json.loads((tmp_path / "single_summary.json").read_text())
-        report = harness.run_model_solve((9,), 8, 0.5, 2)
-        counts = {key: report.params[key] for key in harness.FACTOR_NNZ_KEYS}
-        assert all(isinstance(v, int) and v > 0 for v in counts.values())
-        assert {k: summary["report"][k] for k in counts} == counts
-        (timing,) = summary["timings"]
-        assert {k: timing[k] for k in counts} == counts
-        csv_text = (tmp_path / "single.csv").read_text()
-        assert str(counts["local_factor_nnz"]) not in csv_text
-        assert str(counts["coarse_factor_nnz"]) not in csv_text
+                "--q-rule", "fixed", "--q", "2"]
+        # n0 = 16: factorized, then solved by CG below its size threshold
+        for coarse_cg in (False, True):
+            if coarse_cg:
+                monkeypatch.setattr(coarse, "CG_MIN_N0", 16)
+            out = tmp_path / str(coarse_cg)
+            assert harness.run_command([*argv, "--out", str(out)]) == 0
+            summary = json.loads((out / "single_summary.json").read_text())
+            report = harness.run_model_solve((9,), 8, 0.5, 2)
+            counts = {key: report.params[key] for key in harness.FACTOR_KEYS}
+            assert all(isinstance(v, int) for v in counts.values())
+            assert counts["local_factor_nnz"] > 0
+            if coarse_cg:
+                assert counts["coarse_factor_nnz"] == 0
+                assert 0 < counts["coarse_cg_iterations"] <= 16
+            else:
+                assert counts["coarse_factor_nnz"] > 0
+                assert counts["coarse_cg_iterations"] == 0
+            assert {k: summary["report"][k] for k in counts} == counts
+            (timing,) = summary["timings"]
+            assert {k: timing[k] for k in counts} == counts
+            csv_text = (out / "single.csv").read_text()
+            assert not any(key in csv_text for key in counts)
+            for key in ("local_factor_nnz", "coarse_factor_nnz"):
+                assert counts[key] == 0 or str(counts[key]) not in csv_text
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--dim", "1", "--level", "5", "--p", "4"],

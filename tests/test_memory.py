@@ -22,14 +22,16 @@ RSS_SLACK = 1.10
 # one BLAS thread, as memory_case.py sets when run by hand
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # (levels, P, q) -> (measured peak MiB, iterations, distinct local
-# factors, local factor entries, coarse factor entries); PCG, gamma = 1/2
+# factors, local factor entries, coarse factor entries, coarse CG probe
+# iterations); PCG, gamma = 1/2
 CASES = {
-    # d = 6, the d6-pcg benchmark solve: coarse factor and A before it
-    ((3, 3, 3, 3, 3, 2), 256, 16): (279.4, 15, 256, 6_641_668, 5_974_700),
+    # d = 6, the d6-pcg benchmark solve: the local factors, and A before
+    # them; the coarse problem is solved by CG and stores no factor
+    ((3, 3, 3, 3, 3, 2), 256, 16): (220.7, 15, 256, 6_641_668, 0, 39),
     # d = 1, N = 2^20 - 1: vectors of N dominate, not factors
-    ((20,), 256, 256): (343.0, 27, 4, 131_052, 262_142),
+    ((20,), 256, 256): (343.0, 27, 4, 131_052, 262_142, 0),
     # d = 3: the local factors dominate
-    ((6, 6, 5), 64, 16): (627.7, 26, 64, 26_934_986, 111_468),
+    ((6, 6, 5), 64, 16): (627.7, 26, 64, 26_934_986, 111_468, 0),
 }
 
 
@@ -61,10 +63,10 @@ def measured():
 @pytest.mark.parametrize("case", list(CASES), ids=lambda c: (
     f"{'x'.join(map(str, c[0]))}-P{c[1]}-q{c[2]}"))
 def test_peak_and_factor_entries(measured, case):
-    peak, iterations, distinct, local_nnz, coarse_nnz = CASES[case]
+    peak, *counts = CASES[case]
     got = measured[case]
-    assert [got["iterations"], got["distinct_factors"],
-            got["local_factor_nnz"], got["coarse_factor_nnz"]] == [
-        iterations, distinct, local_nnz, coarse_nnz]
+    assert [got[key] for key in ("iterations", "distinct_factors",
+                                 "local_factor_nnz", "coarse_factor_nnz",
+                                 "coarse_cg_iterations")] == counts
     assert got["peak_rss_mib"] <= RSS_SLACK * peak, (
         f"peak {got['peak_rss_mib']} MiB > {RSS_SLACK} x {peak} MiB")

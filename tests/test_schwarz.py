@@ -336,7 +336,8 @@ class TestSharedFactors:
                                             shape=(m, m)))
         assert schwarz.factor_nnz(op, cs) == {
             "local_factor_nnz": local,
-            "coarse_factor_nnz": splu_nnz(cs.matrix)}
+            "coarse_factor_nnz": splu_nnz(cs.matrix),
+            "coarse_cg_iterations": 0}
         assert local < sum(f.nnz for f in op._factorizations)
         assert schwarz.factor_nnz(op, None)["coarse_factor_nnz"] == 0
 
