@@ -8,9 +8,12 @@ Variants:
 with C^-1 the (weighted) one-level operator, F/G from :mod:`sfcdd.coarse`
 and the coarse term always unweighted.  Weightings: none, a scalar
 omega_i per subdomain, or the full partition-of-unity diagonals.  The
-one-level term is one gather of all overlapped ranges, P local solves
-and one weighted scatter.  Ranges whose blocks are bitwise equal share
-one factorization.  The diagonal weighting yields a symmetric
+one-level term is one gather of all overlapped ranges, one local solve
+per group of consecutive ranges, and one weighted scatter.  A group
+holds at most ``GROUP_UNKNOWNS`` unknowns unless it is a single longer
+range; its blocks A_i form one block-diagonal matrix with one
+factorization.  Groups whose blocks are bitwise equal share one
+factorization.  The diagonal weighting yields a symmetric
 operator exactly when every D_i is a multiple of the identity; otherwise
 the operator is flagged non-symmetric.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from .coarse import CoarseSpace, DeflationOperators
 from .linalg import Factorization, factorize
-from .partition import CyclicRange, Partition
+from .partition import Partition
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
 WEIGHTINGS = ("none", "omega", "d_matrix")
@@ -42,36 +45,75 @@ class SchwarzConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
-def principal_block(A, rng: CyclicRange):
-    """The block ``A[idx][:, idx]`` for ``idx = rng.indices()``, as CSC arrays.
+# Consecutive overlapped ranges are factorized and solved as one
+# block-diagonal matrix while their blocks hold at most this many unknowns
+# together.  A SuperLU call costs about 100 us to factorize and 5-8 us to
+# solve whatever the block's size, and combine-d4's blocks hold 34 unknowns
+# in the median: grouping them halves its local factor time and cuts its
+# local solve time by three quarters.  Limits of 2,048 to 16,384 left
+# d6-pcg's time (394-unknown blocks) flat and moved its peak memory
+# erratically, between 161 and 233 MiB.  Blocks of more than
+# GROUP_UNKNOWNS / 2 unknowns, as there, in d1-rich and in perfbench's
+# TINY_MODEL (480), stay one per group.
+GROUP_UNKNOWNS = 512
 
-    Returns ``(data, indices, indptr, m)``, the arrays of the m x m block
-    in CSC with sorted row indices, as :class:`sfcdd.linalg.Factorization`
-    takes them.  Cut straight out of the arrays of the CSR matrix ``A``:
-    the range's rows are the rows ``start..stop-1`` followed by
-    ``0..wrap-1``, a tail that is empty unless the range wraps around N,
-    and a mask keeps the entries whose column lies in the range.  A
-    stable sort by column turns these rows into CSC columns with sorted
-    row indices, so no copy of A in CSC is needed.
+
+def group_starts(lengths) -> list[int]:
+    """Where each group of consecutive ranges starts, then ``len(lengths)``.
+
+    A range joins the current group as long as the group's unknowns, the
+    sum of its ranges' ``lengths``, stay at most ``GROUP_UNKNOWNS``; a
+    longer range is a group of its own.
     """
-    n, start, m = rng.modulus, rng.start, rng.length
-    stop, wrap = min(rng.stop, n), max(rng.stop - n, 0)
-    ptr = A.indptr
-    # ptr[0] == 0, so the tail's row pointers continue the head's
-    rowptr = np.concatenate((ptr[start:stop + 1] - ptr[start],
-                             ptr[1:wrap + 1] + (ptr[stop] - ptr[start])))
-    head, tail = slice(ptr[start], ptr[stop]), slice(0, ptr[wrap])
-    cols = np.concatenate((A.indices[head], A.indices[tail]))
-    vals = np.concatenate((A.data[head], A.data[tail]))
-    # local position of each column; columns outside the range land >= m
-    local = (cols - start) % n
-    keep = local < m
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    row = np.repeat(np.arange(m), np.diff(kept[rowptr]))
-    local, vals = local[keep], vals[keep]
-    order = np.argsort(local, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=m))))
-    return vals[order], row[order], indptr, m
+    starts, total = [0], 0
+    for i, m in enumerate(lengths):
+        if total and total + m > GROUP_UNKNOWNS:
+            starts.append(i)
+            total = 0
+        total += m
+    starts.append(len(lengths))
+    return starts
+
+
+def principal_block(A, ranges):
+    """The block-diagonal of ``A[idx][:, idx]`` over consecutive ranges, as CSC.
+
+    ``idx = rng.indices()`` for each of the ``ranges``, whose blocks follow
+    one another down the diagonal.  Returns ``(data, indices, indptr, m)``,
+    the arrays of the m x m block in CSC with sorted row indices, as
+    :class:`sfcdd.linalg.Factorization` takes them.  Cut straight out of
+    the arrays of the CSR matrix ``A``: a range's rows are the rows
+    ``start..stop-1`` followed by ``0..wrap-1``, a tail that is empty
+    unless the range wraps around N, and a mask keeps the entries whose
+    column lies in the range.  Rows and columns of each range follow
+    those of the ranges before it.  A stable sort by column turns these
+    rows into CSC columns with sorted row indices, so no copy of A in CSC
+    is needed.
+    """
+    n, ptr = ranges[0].modulus, A.indptr
+    vals, rows, cols = [], [], []
+    m = 0  # rows and columns of the ranges before
+    for rng in ranges:
+        start, length = rng.start, rng.length
+        stop, wrap = min(rng.stop, n), max(rng.stop - n, 0)
+        # ptr[0] == 0, so the tail's row pointers continue the head's
+        rowptr = np.concatenate((ptr[start:stop + 1] - ptr[start],
+                                 ptr[1:wrap + 1] + (ptr[stop] - ptr[start])))
+        head, tail = slice(ptr[start], ptr[stop]), slice(0, ptr[wrap])
+        # position of each column in the range; outside it >= length
+        local = (np.concatenate((A.indices[head], A.indices[tail]))
+                 - start) % n
+        keep = local < length
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        rows.append(np.repeat(np.arange(m, m + length),
+                              np.diff(kept[rowptr])))
+        cols.append(local[keep] + m)
+        vals.append(np.concatenate((A.data[head], A.data[tail]))[keep])
+        m += length
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=m))))
+    return np.concatenate(vals)[order], np.concatenate(rows)[order], indptr, m
 
 
 def block_digest(block) -> bytes:
@@ -89,20 +131,20 @@ def _same_bits(x, y) -> bool:
                for a, b in zip(x[:3], y[:3]))
 
 
-def _factorize_distinct(A, ranges) -> list[Factorization]:
-    """One factorization per range; bitwise-equal blocks share one.
+def _factorize_distinct(A, groups) -> list[Factorization]:
+    """One factorization per group of ranges; bitwise-equal blocks share one.
 
-    A range whose block hashes like an earlier distinct block is compared
+    A group whose block hashes like an earlier distinct block is compared
     with that block, cut again from ``A``, so no block is kept after its
     factorization and a hash collision never shares a wrong factor.
     """
     factors = []
-    distinct: dict[bytes, list[int]] = {}  # digest -> ranges factorized
-    for i, rng in enumerate(ranges):
-        block = principal_block(A, rng)
+    distinct: dict[bytes, list[int]] = {}  # digest -> groups factorized
+    for i, group in enumerate(groups):
+        block = principal_block(A, group)
         key = block_digest(block)
         for j in distinct.get(key, ()):
-            if _same_bits(block, principal_block(A, ranges[j])):
+            if _same_bits(block, principal_block(A, groups[j])):
                 factors.append(factors[j])
                 break
         else:
@@ -112,7 +154,12 @@ def _factorize_distinct(A, ranges) -> list[Factorization]:
 
 
 class SchwarzOperator:
-    """Immutable preconditioner application; see :func:`setup`."""
+    """Immutable preconditioner application; see :func:`setup`.
+
+    ``_factorizations`` holds one factorization per group of consecutive
+    ranges (:func:`group_starts`), in order; equal groups hold the same
+    object.
+    """
 
     def __init__(self, A, part: Partition, coarse: CoarseSpace | None,
                  config: SchwarzConfig):
@@ -121,21 +168,27 @@ class SchwarzOperator:
         self.n = part.n
 
         ranges = part.overlapped
-        # all overlapped ranges back to back; block i is
-        # _gather[_bounds[i]:_bounds[i + 1]]
+        lengths = [rng.length for rng in ranges]
+        # all overlapped ranges back to back; range i is
+        # _gather[bounds[i]:bounds[i + 1]]
         self._gather = np.concatenate([rng.indices() for rng in ranges])
-        self._bounds = np.cumsum([0] + [rng.length for rng in ranges]).tolist()
-        # one entry per range; each block is cut and factorized (or
+        bounds = np.cumsum([0] + lengths)
+        # groups of consecutive ranges; group g's block-diagonal solve acts
+        # on _gather[_bounds[g]:_bounds[g + 1]]
+        groups = group_starts(lengths)
+        self._bounds = bounds[groups].tolist()
+        # one entry per group; each block is cut and factorized (or
         # matched) before the next is cut; A.tocsr() is A when A is CSR
-        self._factorizations = _factorize_distinct(A.tocsr(), ranges)
+        self._factorizations = _factorize_distinct(
+            A.tocsr(), [ranges[a:b] for a, b in zip(groups, groups[1:])])
         # 1/(number of ranges holding the entry) for every gathered entry:
         # the D_i back to back; omega_i is the largest entry of D_i
         inv = 1.0 / np.bincount(self._gather, minlength=self.n)[self._gather]
-        starts = self._bounds[:-1]
+        starts = bounds[:-1]
         omega = np.maximum.reduceat(inv, starts)
         # per-entry weight of the gathered local solutions; None = unweighted
         if config.weighting == "omega":
-            self._scale = np.repeat(omega, np.diff(self._bounds))
+            self._scale = np.repeat(omega, lengths)
         elif config.weighting == "d_matrix":
             self._scale = inv
         else:
@@ -198,6 +251,9 @@ class SchwarzOperator:
 def factor_nnz(op: SchwarzOperator, coarse: CoarseSpace | None) -> dict:
     """Stored entries of the distinct local factors and of the coarse factor.
 
+    A local factor is that of a group of ranges; a factor that bitwise
+    equal groups share counts once.
+
     A coarse problem solved by CG stores no factor; ``coarse_cg_iterations``
     is then its probe's iteration count, and 0 otherwise.
     """
@@ -210,7 +266,7 @@ def factor_nnz(op: SchwarzOperator, coarse: CoarseSpace | None) -> dict:
 
 def setup(A, part: Partition, coarse: CoarseSpace | None,
           config: SchwarzConfig) -> SchwarzOperator:
-    """Extract and factorize all subdomain blocks; returns the operator.
+    """Cut and factorize the subdomain blocks, group by group; returns the operator.
 
     ``A`` must be symmetric and ordered like the partition; ``coarse``
     must have been built from the same matrix and partition.

@@ -34,11 +34,15 @@ def scaled_laplacian(levels):
 
 
 def schwarz_blocks(gamma):
-    """Every block of a (4, 4), P = 7 partition; the first range wraps."""
+    """Every block of a (4, 4), P = 7 partition, and their block-diagonal.
+
+    The first range wraps.
+    """
     A = scaled_laplacian((4, 4))
     part = build_partition(A.shape[0], 7, gamma)
     assert part.overlapped[0].stop > A.shape[0]
-    return [principal_block(A, rng) for rng in part.overlapped]
+    return ([principal_block(A, [rng]) for rng in part.overlapped]
+            + [principal_block(A, part.overlapped)])
 
 
 def unsorted_csc(A):

@@ -11,7 +11,7 @@ from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
 from sfcdd.partition import CyclicRange, build_partition
 from sfcdd.schwarz import (VARIANTS, WEIGHTINGS, SchwarzConfig,
-                           principal_block, setup)
+                           group_starts, principal_block, setup)
 from weights_reference import compute_weights
 
 
@@ -76,19 +76,58 @@ def reference_block(A, idx):
     return A[idx][:, idx]
 
 
-def per_range_reference(A, part, weighting, g):
-    """One-level apply with one factorization per range, none shared."""
+def groups_of(part):
+    """The overlapped ranges in the operator's groups of consecutive ranges."""
+    starts = group_starts([r.length for r in part.overlapped])
+    return [part.overlapped[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def reference_group_block(A, group):
+    """A group's block-diagonal by ``sp.block_diag`` of its blocks, in CSC."""
+    return sp.block_diag([reference_block(A, r.indices()) for r in group],
+                         format="csc").sorted_indices()
+
+
+def splu_factor(M):
+    """Public splu with the options of linalg.Factorization."""
+    return spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def weighted_sum(part, weighting, solutions):
+    """sum_i R_i^T D_i x_i for the local solutions x_i, range by range."""
     weights = compute_weights(part)
     out = np.zeros(part.n)
-    for i, r in enumerate(part.overlapped):
-        idx = r.indices()
-        sol = linalg.factorize(reference_block(A, idx).tocsr()).solve(g[idx])
+    for i, (r, sol) in enumerate(zip(part.overlapped, solutions)):
         if weighting == "omega":
             sol = weights.omega[i] * sol
         elif weighting == "d_matrix":
             sol = weights.diagonals[i] * sol
-        out[idx] += sol
+        out[r.indices()] += sol
     return out
+
+
+def per_range_reference(A, part, weighting, g):
+    """One-level apply with one factorization per range, none shared."""
+    return weighted_sum(part, weighting, [
+        linalg.factorize(reference_block(A, r.indices()).tocsr())
+        .solve(g[r.indices()]) for r in part.overlapped])
+
+
+def per_group_reference(A, part, weighting, g):
+    """One-level apply with one splu per group of ranges, none shared."""
+    solutions = []
+    for group in groups_of(part):
+        idx = np.concatenate([r.indices() for r in group])
+        sol = splu_factor(reference_group_block(A, group)).solve(g[idx])
+        ends = np.cumsum([r.length for r in group])[:-1]
+        solutions += np.split(sol, ends)
+    return weighted_sum(part, weighting, solutions)
+
+
+def assert_close(got, want, rtol=1e-13):
+    """Agreement to ``rtol`` relative to the largest entry of ``want``."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
@@ -123,7 +162,7 @@ class TestPrincipalBlock:
         # every gamma > 0 enlarges the first range across index 0
         assert (part.overlapped[0].stop > n) == (gamma > 0)
         for rng in part.overlapped:
-            self.assert_same_block(principal_block(A, rng), A, rng)
+            self.assert_same_block(principal_block(A, [rng]), A, rng)
 
     @pytest.mark.parametrize("p,gamma", [(1, 0), (3, 1)])
     def test_full_length_range(self, p, gamma):
@@ -133,12 +172,58 @@ class TestPrincipalBlock:
         part = build_partition(31, p, gamma)
         assert all(r.length == 31 for r in part.overlapped)
         for rng in part.overlapped:
-            self.assert_same_block(principal_block(A, rng), A, rng)
+            self.assert_same_block(principal_block(A, [rng]), A, rng)
 
     def test_short_wrapping_range(self):
         A = random_scaled_spd(20, 3)
         rng = CyclicRange(17, 6, 20)
-        self.assert_same_block(principal_block(A, rng), A, rng)
+        self.assert_same_block(principal_block(A, [rng]), A, rng)
+
+    @pytest.mark.parametrize("gamma", [0, 0.25, 1.5])
+    @pytest.mark.parametrize("matrix", ["laplacian", "random"])
+    def test_run_of_ranges_is_their_block_diagonal(self, matrix, gamma):
+        if matrix == "laplacian":
+            A = grid.assemble_laplacian((3, 4))
+        else:
+            A = random_scaled_spd(44, 5)
+        part = build_partition(A.shape[0], 5, gamma)
+        # every run of consecutive ranges; with gamma > 0 the first and
+        # the last range wrap around N
+        for a in range(5):
+            for b in range(a + 1, 6):
+                group = part.overlapped[a:b]
+                ref = reference_group_block(A, group)
+                data, indices, indptr, m = principal_block(A, group)
+                assert m == ref.shape[0] == sum(r.length for r in group)
+                np.testing.assert_array_equal(indptr, ref.indptr)
+                np.testing.assert_array_equal(indices, ref.indices)
+                assert data.tobytes() == ref.data.tobytes()
+
+
+class TestGroups:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_groups_are_consecutive_and_bounded(self, seed):
+        rng = np.random.default_rng(seed)
+        high = [8, 64, 300, 600, 2000][seed % 5]
+        lengths = rng.integers(1, high, size=rng.integers(1, 60)).tolist()
+        starts = group_starts(lengths)
+        # consecutive groups that cover every range once, in order
+        assert starts[0] == 0 and starts[-1] == len(lengths)
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        limit = schwarz.GROUP_UNKNOWNS
+        for a, b in zip(starts, starts[1:]):
+            size = sum(lengths[a:b])
+            # none exceeds the limit unless it holds a single range
+            assert size <= limit or b - a == 1
+            # a range starts a new group only where it would not fit
+            if b < len(lengths):
+                assert size + lengths[b] > limit
+
+    def test_limit_is_inclusive(self):
+        limit = schwarz.GROUP_UNKNOWNS
+        assert group_starts([limit // 2, limit // 2, 1]) == [0, 2, 3]
+        assert group_starts([limit + 1, 1, 1]) == [0, 1, 3]
+        assert group_starts([1, limit, 1]) == [0, 1, 2, 3]
 
 
 class TestSetup:
@@ -237,26 +322,22 @@ class TestApply:
                                                 ((3,), 5, 1.25),
                                                 ((6,), 8, 0.25)])
     @pytest.mark.parametrize("weighting", ["none", "omega", "d_matrix"])
+    # all ranges of each case form one group, so its one solve is
+    # bitwise that of the group oracle; the per-range loop, which orders
+    # every block on its own, agrees to roundoff
     def test_one_level_matches_per_subdomain_loop_bitwise(self, levels, p,
                                                           gamma, weighting):
-        _, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+        A, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
                                        weighting)
         assert part.overlapped[0].stop > part.n
-        weights = compute_weights(part)
+        assert len(groups_of(part)) == 1 == len(op._factorizations)
         rng = np.random.default_rng(11)
         for _ in range(3):
             g = rng.standard_normal(part.n)
-            expected = np.zeros(part.n)
-            for i, (r, f) in enumerate(zip(part.overlapped,
-                                           op._factorizations)):
-                idx = r.indices()
-                sol = f.solve(g[idx])
-                if weighting == "omega":
-                    sol = weights.omega[i] * sol
-                elif weighting == "d_matrix":
-                    sol = weights.diagonals[i] * sol
-                expected[idx] += sol
-            assert np.array_equal(op.apply(g), expected)
+            got = op.apply(g)
+            assert np.array_equal(
+                got, per_group_reference(A, part, weighting, g))
+            assert_close(got, per_range_reference(A, part, weighting, g))
 
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_one_level_bitwise_equal_with_reference_blocks(self, weighting):
@@ -266,8 +347,51 @@ class TestApply:
         rng = np.random.default_rng(12)
         for _ in range(3):
             g = rng.standard_normal(44)
+            got = op.apply(g)
+            assert np.array_equal(
+                got, per_group_reference(A, part, weighting, g))
+            assert_close(got, per_range_reference(A, part, weighting, g))
+
+    # ranges of more than GROUP_UNKNOWNS / 2 unknowns are groups of one,
+    # solved exactly as range by range; the first range wraps
+    @pytest.mark.parametrize("levels,p,gamma", [((9,), 3, 0.5),
+                                                ((5, 5), 4, 0.5),
+                                                ((5, 5), 4, 0.25)])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_groups_of_one_range_bitwise_per_range(self, levels, p, gamma,
+                                                   weighting):
+        A, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+                                       weighting)
+        assert part.overlapped[0].stop > part.n
+        assert len(groups_of(part)) == p == len(op._factorizations)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            g = rng.standard_normal(part.n)
             assert np.array_equal(op.apply(g),
                                   per_range_reference(A, part, weighting, g))
+
+    # groups of several ranges, wrapping ones among them, against the
+    # per-range loop: gamma = 1/4 (non-symmetric d_matrix weighting),
+    # fractional and whole-number overlap, d = 1-3
+    @pytest.mark.parametrize("levels,p,gamma", [((6,), 8, 0.25),
+                                                ((8,), 8, 1.25),
+                                                ((10,), 16, 0.5),
+                                                ((4, 3), 7, 0.25),
+                                                ((3, 3, 2), 6, 1.0)])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_grouped_one_level_matches_per_range_loop(self, levels, p, gamma,
+                                                      weighting):
+        A, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+                                       weighting)
+        assert part.overlapped[0].stop > part.n
+        assert len(groups_of(part)) < p
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            g = rng.standard_normal(part.n)
+            got = op.apply(g)
+            assert_close(got, per_range_reference(A, part, weighting, g))
+            assert np.array_equal(
+                got, per_group_reference(A, part, weighting, g))
 
     @pytest.mark.parametrize("variant", ["one_level", "balanced"])
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
@@ -295,14 +419,17 @@ class TestApply:
 
 
 class TestSharedFactors:
-    # (9,), P = 8 (N = 511): ranges 1-5 are the 128 entries from 64i - 32
-    # and share one factor; range 6 is 127 long and ranges 0 and 7 wrap
-    # around N.  (7,), P = 5, gamma = 1.25 has five distinct blocks, four
-    # of them wrapping.  A constant digest makes every block a candidate
-    # for every earlier one, so only the bitwise comparison decides.
+    # (10,), P = 16 (N = 1,023): four groups of four ranges; groups 1 and 2
+    # are ranges of the 128 entries from 64i - 32 and share one factor,
+    # group 0 holds the wrapping range 0 and group 3 ranges 14 and 15, 127
+    # long, the last of them wrapping.  (8,), P = 8, gamma = 1.25 has two
+    # distinct groups, each with two wrapping ranges.  A constant digest
+    # makes every block a candidate for every earlier one, so only the
+    # bitwise comparison decides.  The group oracle is bitwise; the name
+    # dates from one factor per range, which now agrees to roundoff.
     @pytest.mark.parametrize("levels,p,gamma,expected", [
-        ((9,), 8, 0.5, [0, 1, 1, 1, 1, 1, 6, 7]),
-        ((7,), 5, 1.25, [0, 1, 2, 3, 4])])
+        ((10,), 16, 0.5, [0, 1, 1, 3]),
+        ((8,), 8, 1.25, [0, 1])])
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     @pytest.mark.parametrize("digest", ["blake2b", "constant"])
     def test_bitwise_equal_to_one_factor_per_range(
@@ -311,29 +438,28 @@ class TestSharedFactors:
             monkeypatch.setattr(schwarz, "block_digest", lambda block: b"")
         A, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
                                        weighting)
-        # for each range, the first range that holds the same factor
+        # for each group, the first group that holds the same factor
         ids = [id(f) for f in op._factorizations]
         assert [ids.index(i) for i in ids] == expected
         assert len(set(ids)) == len(set(expected))
         rng = np.random.default_rng(14)
         for _ in range(3):
             g = rng.standard_normal(part.n)
-            assert np.array_equal(op.apply(g),
-                                  per_range_reference(A, part, weighting, g))
+            got = op.apply(g)
+            assert np.array_equal(
+                got, per_group_reference(A, part, weighting, g))
+            assert_close(got, per_range_reference(A, part, weighting, g))
 
     def test_factor_nnz_counts_each_distinct_factor_once(self):
         def splu_nnz(M):
-            lu = spla.splu(sp.csc_matrix(M), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
+            lu = splu_factor(M)
             return lu.L.nnz + lu.U.nnz
-        # (9,), P = 8: ranges 1-5 share one factor; 0, 1, 6, 7 are distinct
-        A, part, cs, op = make_operator((9,), 8, 0.5, 2)
-        local = 0
-        for i in (0, 1, 6, 7):
-            data, indices, indptr, m = principal_block(A, part.overlapped[i])
-            local += splu_nnz(sp.csc_matrix((data, indices, indptr),
-                                            shape=(m, m)))
+        # (10,), P = 16: groups 1 and 2 share one factor; 0, 1, 3 are
+        # distinct
+        A, part, cs, op = make_operator((10,), 16, 0.5, 2)
+        groups = groups_of(part)
+        local = sum(splu_nnz(reference_group_block(A, groups[i]))
+                    for i in (0, 1, 3))
         assert schwarz.factor_nnz(op, cs) == {
             "local_factor_nnz": local,
             "coarse_factor_nnz": splu_nnz(cs.matrix),
@@ -344,10 +470,15 @@ class TestSharedFactors:
     def test_model_solve_blocks_are_distinct(self):
         # perfbench's test_layer_counts_of_a_model_solve counts P + 1
         # factorizations for its TINY_MODEL, which is this (5, 5), P = 4
-        # solve: it holds only while these four blocks stay distinct
+        # solve: it holds only while these four blocks, of 480 and 481
+        # unknowns, stay distinct and each a group of its own; two of them
+        # would group only past GROUP_UNKNOWNS = 512 unknowns
         A = grid.assemble_laplacian((5, 5))
         A_hat = grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
         part = build_partition(A.shape[0], 4, 0.5)
+        assert schwarz.GROUP_UNKNOWNS == 512
+        assert group_starts([r.length for r in part.overlapped]) == [
+            0, 1, 2, 3, 4]
         op = setup(A_hat, part, build_coarse(part, A_hat, 4),
                    SchwarzConfig("balanced", "omega"))
         assert len(op._factorizations) == 4
