@@ -91,7 +91,7 @@ def principal_block(A, ranges):
     is needed.
     """
     n, ptr = ranges[0].modulus, A.indptr
-    vals, rows, cols = [], [], []
+    blocks = []
     m = 0  # rows and columns of the ranges before
     for rng in ranges:
         start, length = rng.start, rng.length
@@ -100,20 +100,24 @@ def principal_block(A, ranges):
         rowptr = np.concatenate((ptr[start:stop + 1] - ptr[start],
                                  ptr[1:wrap + 1] + (ptr[stop] - ptr[start])))
         head, tail = slice(ptr[start], ptr[stop]), slice(0, ptr[wrap])
+        cols = np.concatenate((A.indices[head], A.indices[tail]))
+        vals = np.concatenate((A.data[head], A.data[tail]))
         # position of each column in the range; outside it >= length
-        local = (np.concatenate((A.indices[head], A.indices[tail]))
-                 - start) % n
+        local = (cols - start) % n
         keep = local < length
         kept = np.concatenate(([0], np.cumsum(keep)))
-        rows.append(np.repeat(np.arange(m, m + length),
-                              np.diff(kept[rowptr])))
-        cols.append(local[keep] + m)
-        vals.append(np.concatenate((A.data[head], A.data[tail]))[keep])
+        row = np.repeat(np.arange(m, m + length), np.diff(kept[rowptr]))
+        local, vals = local[keep], vals[keep]
+        local += m
+        blocks.append((vals, row, local))
         m += length
-    col = np.concatenate(cols)
-    order = np.argsort(col, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=m))))
-    return np.concatenate(vals)[order], np.concatenate(rows)[order], indptr, m
+    # a single range's arrays are used as they are: copying them changed
+    # the heap's layout enough to raise d6-pcg's peak by 4 MiB
+    vals, row, local = (parts[0] if len(parts) == 1 else np.concatenate(parts)
+                        for parts in zip(*blocks))
+    order = np.argsort(local, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(local, minlength=m))))
+    return vals[order], row[order], indptr, m
 
 
 def block_digest(block) -> bytes:

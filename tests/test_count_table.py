@@ -49,7 +49,7 @@ def test_table_covers_the_paths_that_change_arithmetic():
     assert len(cases) >= 1000
 
 
-@pytest.mark.parametrize("case", count_table.EXTRA_CASES[:1])
+@pytest.mark.parametrize("case", count_table.EXTRA_CASES)
 def test_extra_cases_take_the_coarse_cg_path(case):
     levels, p, gamma, q, variant, weighting, method = case
     report = harness.run_model_solve(levels, p, gamma, q, method=method,

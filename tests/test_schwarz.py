@@ -125,9 +125,9 @@ def per_group_reference(A, part, weighting, g):
     return weighted_sum(part, weighting, solutions)
 
 
-def assert_close(got, want, rtol=1e-13):
-    """Agreement to ``rtol`` relative to the largest entry of ``want``."""
-    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+def assert_close(got, want):
+    """Agreement to 1e-13 relative to the largest entry of ``want``."""
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
