@@ -161,8 +161,8 @@ class SchwarzOperator:
     """Immutable preconditioner application; see :func:`setup`.
 
     ``_factorizations`` holds one factorization per group of consecutive
-    ranges (:func:`group_starts`), in order; equal groups hold the same
-    object.
+    ranges (:func:`group_starts`), in order; bitwise-equal groups hold
+    the same object.
     """
 
     def __init__(self, A, part: Partition, coarse: CoarseSpace | None,
