@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import (Factorization, FactorizationError, JacobiCG, factorize,
-                     triple_product)
+from .linalg import (CSRProduct, Factorization, FactorizationError, JacobiCG,
+                     factorize, triple_product)
 from .partition import Partition
 
 
@@ -80,7 +80,7 @@ def build_coarse(part: Partition, A, q: int) -> CoarseSpace:
 
 
 class DeflationOperators:
-    """Coarse correction F = R0^T A0^-1 R0, without sparse products.
+    """Coarse correction F = R0^T A0^-1 R0, with one sparse product.
 
     The Schwarz variants build the projections G v = v - A F v and
     G^T v = v - F A v from it; F A F = F holds by the Galerkin
@@ -90,15 +90,14 @@ class DeflationOperators:
     def __init__(self, cs: CoarseSpace, A):
         if A.shape[1] != cs.restriction.shape[1]:
             raise ValueError("coarse space size does not match matrix")
-        self._cs = cs
-        # the aggregates tile [0, N) in order (see build_coarse): R0 sums
-        # each chunk of consecutive entries, R0^T repeats each coarse value
-        self._sizes = np.diff(cs.restriction.indptr)
-        self._labels = np.repeat(np.arange(cs.n0), self._sizes)
+        self._solver = cs.factorization
+        R0 = cs.restriction
+        self._restrict = CSRProduct(R0.indptr, R0.indices, R0.data, R0.shape[1])
+        # the aggregates tile [0, N) in order (see build_coarse), so R0^T
+        # repeats each coarse value over its chunk of consecutive entries
+        self._sizes = np.diff(R0.indptr)
 
     def coarse_correction(self, v: np.ndarray) -> np.ndarray:
-        # bincount adds in index order, as the CSR product R0 @ v does, so
-        # the two are bitwise equal; np.add.reduceat sums pairwise and is not
-        cs = self._cs
-        r0v = np.bincount(self._labels, weights=v, minlength=cs.n0)
-        return np.repeat(cs.factorization.solve(r0v), self._sizes)
+        # R0 v is bitwise R0 @ v, and the repeat is exact, so the result
+        # is bitwise R0^T @ (A0^-1 R0 v)
+        return np.repeat(self._solver.solve(self._restrict(v)), self._sizes)

@@ -97,12 +97,15 @@ def assemble_laplacian(levels) -> sp.csr_matrix:
     Diagonal sum_j 2/h_j**2, off-diagonal -1/h_j**2 towards each axis-j
     neighbour; symmetric positive definite.  The stencil is laid out in
     lexicographic numbering, neighbours at +-stride, and its rows and
-    columns are mapped to SFC ranks in one COO -> CSR conversion.
+    columns are mapped to SFC ranks in one COO -> CSR conversion.  The
+    COO indices are 32-bit while N fits, as the CSR result's are: the
+    index arrays are most of the assembly's peak memory.
     """
     levels = as_levels(levels)
     n = num_dofs(levels)
     shape = interior_shape(levels)
-    lex = np.arange(n, dtype=np.int64).reshape(shape)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    lex = np.arange(n, dtype=index).reshape(shape)
     weights = [float(4**l) for l in levels]
     rows = [lex.ravel()]
     cols = [lex.ravel()]
@@ -114,8 +117,8 @@ def assemble_laplacian(levels) -> sp.csr_matrix:
         cols += [lower, upper]
         vals.append(np.full(2 * upper.size, -w))
     perm = sfc_permutation(levels)
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n, dtype=np.int64)
+    rank = np.empty(n, dtype=index)
+    rank[perm] = np.arange(n, dtype=index)
     A = sp.coo_matrix(
         (np.concatenate(vals),
          (rank[np.concatenate(rows)], rank[np.concatenate(cols)])),

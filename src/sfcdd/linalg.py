@@ -14,7 +14,14 @@ factorization keeps SuperLU's own storage of L and U and, of SuperLU's
 CSC export of the two, only their entry counts and U's diagonal, not a
 second copy of their entries.
 Factorizations are immutable after construction and their solves are
-safe to call concurrently.
+safe to call concurrently.  A solve takes one right-hand side or the
+columns of an (n, k) array; SuperLU's supernodal triangular solves share
+their index work among the k columns.
+
+:class:`CSRProduct` is the product ``M @ x`` of a fixed CSR matrix and a
+vector, bit for bit, through the sparsetools kernel behind
+``csr_matrix @``: the Schwarz scatter and the coarse restriction are
+such products, made on every apply.
 
 :class:`JacobiCG` has the same interface (``n``, ``nnz``, ``solve``) and
 solves by Jacobi-preconditioned CG instead of a factor.  Every solve
@@ -35,6 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+# csr_matrix @ x spends about 2.6 us per call in scipy's dispatch before
+# this kernel runs (4.2 against 1.6 us in all on a 63-unknown grid), which
+# combine-d4's roughly 10,000 small scatters and restrictions would pay
+from scipy.sparse import _sparsetools
 # splu itself would re-validate a block that principal_block has just
 # built canonically, and the caller would have to wrap the block's arrays
 # in a csc_matrix only to hand them over; on a block of a few dozen
@@ -63,6 +74,8 @@ CG_TOLERANCE = 1e-14
 CG_MAX_ITERATIONS = 100
 # the probe's right-hand side; any fixed seed, independent of the solve's
 _CG_PROBE_SEED = 0
+# the right-hand sides of Factorization.solves_columns_alike; any fixed seed
+_COLUMNS_PROBE_SEED = 0
 
 
 class FactorizationError(RuntimeError):
@@ -152,9 +165,31 @@ class Factorization:
         self._lu = lu
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^-1 b for b of shape (n,) or (n, k), in a new array of b's shape.
+
+        A solve of k columns is one SuperLU call.
+        """
         if b.shape[0] != self.n:
             raise ValueError(f"dimension mismatch: n={self.n}, b has {b.shape[0]}")
         return self._lu.solve(b)
+
+    def solves_columns_alike(self, k: int) -> bool:
+        """Whether a solve of k columns gives each column bit for bit as its own solve.
+
+        SuperLU solves a supernode of several columns with BLAS trsm and
+        gemm calls, whose kernel, and with it the rounding, can change
+        with the number of right-hand sides: with OpenBLAS 0.3.30 on an
+        AVX-512 x86-64 CPU, 5 and 9 or more columns differed from
+        one-column solves in the last bits on an 8,177-unknown block of a
+        (10,10) grid at P = 256, while d = 1 blocks agreed at every k
+        tried.  Decided on one seeded (n, k) right-hand side, which a
+        difference in kernels shows in almost every column.
+        """
+        rng = np.random.default_rng(_COLUMNS_PROBE_SEED)
+        b = rng.standard_normal((k, self.n)).T
+        x = self._lu.solve(b)
+        return all(np.array_equal(x[:, j], self._lu.solve(b[:, j]))
+                   for j in range(k))
 
 
 def factorize(A) -> Factorization:
@@ -224,6 +259,47 @@ class JacobiCG:
         raise FactorizationError(
             f"CG missed ||r|| <= {CG_TOLERANCE:g} ||b|| in "
             f"{CG_MAX_ITERATIONS} iterations")
+
+
+class CSRProduct:
+    """``x -> M @ x`` for one CSR matrix ``M`` with float64 data, bit for bit.
+
+    ``M`` is given by its arrays ``indptr``, ``indices`` and ``data`` and
+    its number of columns.  They are checked once, here, because the
+    sparsetools kernel behind ``csr_matrix @``, which a product calls,
+    checks no index; indices are kept as int32 while they fit, as scipy
+    keeps them.  The kernel sums each row's stored entries in their
+    order, from 0.0, as ``M @ x`` does.  ``x`` is read as float64.
+    """
+
+    def __init__(self, indptr, indices, data, n_col: int):
+        indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
+        nnz = len(indices)
+        if not (indptr.ndim == indices.ndim == data.ndim == 1
+                and np.issubdtype(indptr.dtype, np.signedinteger)
+                and np.issubdtype(indices.dtype, np.signedinteger)
+                and len(indptr) >= 1 and indptr[0] == 0
+                and indptr[-1] == nnz == len(data)
+                and np.all(indptr[1:] >= indptr[:-1])
+                and (nnz == 0 or 0 <= indices.min() <= indices.max() < n_col)):
+            raise ValueError(f"not the CSR arrays of a matrix with {n_col} columns")
+        if data.dtype != np.float64:
+            raise ValueError(f"expected float64 data, got {data.dtype}")
+        index = np.intc if max(nnz, n_col) <= _INTC_MAX else np.int64
+        self.indptr = indptr.astype(index, copy=False)
+        self.indices = indices.astype(index, copy=False)
+        self.data = data
+        self.shape = (len(indptr) - 1, n_col)
+
+    def __call__(self, x) -> np.ndarray:
+        n_row, n_col = self.shape
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (n_col,):
+            raise ValueError(f"dimension mismatch: M is {self.shape}, x has shape {x.shape}")
+        y = np.zeros(n_row)
+        _sparsetools.csr_matvec(n_row, n_col, self.indptr, self.indices,
+                                self.data, x, y)
+        return y
 
 
 def triple_product(R, A) -> sp.csr_matrix:

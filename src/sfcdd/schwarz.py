@@ -9,11 +9,15 @@ with C^-1 the (weighted) one-level operator, F/G from :mod:`sfcdd.coarse`
 and the coarse term always unweighted.  Weightings: none, a scalar
 omega_i per subdomain, or the full partition-of-unity diagonals.  The
 one-level term is one gather of all overlapped ranges, one local solve
-per group of consecutive ranges, and one weighted scatter.  A group
-holds at most ``GROUP_UNKNOWNS`` unknowns unless it is a single longer
-range; its blocks A_i form one block-diagonal matrix with one
+per run of groups of consecutive ranges, and one weighted scatter.  A
+group holds at most ``GROUP_UNKNOWNS`` unknowns unless it is a single
+longer range; its blocks A_i form one block-diagonal matrix with one
 factorization.  Groups whose blocks are bitwise equal share one
-factorization.  The diagonal weighting yields a symmetric
+factorization, and a run of at most ``RUN_COLUMNS`` consecutive groups
+that share one is solved by one call, one right-hand-side column per
+group.  The scatter sum_i R_i^T D_i is one CSR product whose rows list
+each unknown's gathered entries in gather order, with their weights.
+The diagonal weighting yields a symmetric
 operator exactly when every D_i is a multiple of the identity; otherwise
 the operator is flagged non-symmetric.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarse import CoarseSpace, DeflationOperators
-from .linalg import Factorization, factorize
+from .linalg import CSRProduct, Factorization, factorize
 from .partition import Partition
 
 VARIANTS = ("one_level", "additive_two_level", "deflated", "balanced")
@@ -73,6 +77,53 @@ def group_starts(lengths) -> list[int]:
         total += m
     starts.append(len(lengths))
     return starts
+
+
+# Consecutive groups that hold the same factor are solved by one SuperLU
+# call with one column per group, at most this many columns.  On a d = 1
+# block of 8,192 unknowns a column costs about 112 us alone, 64-75 us in
+# calls of 6 to 12 columns and 128-177 us in calls of 16 or more; blocks
+# of 512 and 2,048 unknowns show the same cliff.  d1-rich's 29 groups
+# that share one factor take 4 calls instead of 29.
+RUN_COLUMNS = 8
+
+
+def run_starts(factors) -> list[int]:
+    """Where each run of consecutive groups starts, then ``len(factors)``.
+
+    A group joins the current run while it holds the same factor object
+    as the run's groups and the run holds fewer than ``RUN_COLUMNS``.
+    """
+    starts = [0]
+    for i in range(1, len(factors)):
+        if (factors[i] is not factors[starts[-1]]
+                or i - starts[-1] == RUN_COLUMNS):
+            starts.append(i)
+    starts.append(len(factors))
+    return starts
+
+
+def _solve_runs(factors, bounds) -> list[tuple]:
+    """``(factor, a, b, k)`` per run: its k groups' entries are ``[a, b)``.
+
+    The run's groups are ``k`` blocks of one size, so ``[a, b)`` of the
+    gathered vector is, in F order, the (m, k) array of their right-hand
+    sides.  A run whose factor does not solve k columns bit for bit as
+    one at a time (:meth:`sfcdd.linalg.Factorization.solves_columns_alike`,
+    checked once per factor and k) is solved group by group.
+    """
+    starts = run_starts(factors)
+    alike: dict[tuple[int, int], bool] = {}
+    runs = []
+    for s, e in zip(starts, starts[1:]):
+        f, k = factors[s], e - s
+        if k > 1 and (id(f), k) not in alike:
+            alike[id(f), k] = f.solves_columns_alike(k)
+        if k == 1 or alike[id(f), k]:
+            runs.append((f, bounds[s], bounds[e], k))
+        else:
+            runs += [(f, bounds[g], bounds[g + 1], 1) for g in range(s, e)]
+    return runs
 
 
 def principal_block(A, ranges):
@@ -162,7 +213,9 @@ class SchwarzOperator:
 
     ``_factorizations`` holds one factorization per group of consecutive
     ranges (:func:`group_starts`), in order; bitwise-equal groups hold
-    the same object.
+    the same object.  ``_runs`` lists the one-level term's solves
+    (:func:`_solve_runs`), and ``_scatter`` is the product by the n x M
+    matrix sum_i R_i^T D_i over the M gathered entries.
     """
 
     def __init__(self, A, part: Partition, coarse: CoarseSpace | None,
@@ -178,31 +231,39 @@ class SchwarzOperator:
         self._gather = np.concatenate([rng.indices() for rng in ranges])
         bounds = np.cumsum([0] + lengths)
         # groups of consecutive ranges; group g's block-diagonal solve acts
-        # on _gather[_bounds[g]:_bounds[g + 1]]
+        # on _gather[group_bounds[g]:group_bounds[g + 1]]
         groups = group_starts(lengths)
-        self._bounds = bounds[groups].tolist()
+        group_bounds = bounds[groups].tolist()
         # one entry per group; each block is cut and factorized (or
         # matched) before the next is cut; A.tocsr() is A when A is CSR
         self._factorizations = _factorize_distinct(
             A.tocsr(), [ranges[a:b] for a, b in zip(groups, groups[1:])])
+        self._runs = _solve_runs(self._factorizations, group_bounds)
         # 1/(number of ranges holding the entry) for every gathered entry:
         # the D_i back to back; omega_i is the largest entry of D_i
-        inv = 1.0 / np.bincount(self._gather, minlength=self.n)[self._gather]
+        counts = np.bincount(self._gather, minlength=self.n)
+        inv = 1.0 / counts[self._gather]
         starts = bounds[:-1]
         omega = np.maximum.reduceat(inv, starts)
-        # per-entry weight of the gathered local solutions; None = unweighted
+        # per-entry weight of the gathered local solutions
         if config.weighting == "omega":
-            self._scale = np.repeat(omega, lengths)
+            weights = np.repeat(omega, lengths)
         elif config.weighting == "d_matrix":
-            self._scale = inv
+            weights = inv
         else:
-            self._scale = None
+            weights = np.ones(len(inv))
         # D_i is a multiple of the identity iff its smallest entry is omega_i
         weighting_symmetric = config.weighting != "d_matrix" or np.array_equal(
             np.minimum.reduceat(inv, starts), omega)
         # the deflated operator G^T C^-1 + F projects on one side only and
         # is non-symmetric even for symmetric C
         self.symmetric = weighting_symmetric and config.variant != "deflated"
+        # row j lists the gathered entries of unknown j in gather order, so
+        # the product sums them subdomain by subdomain, as bincount over
+        # the weighted entries does, and repeated applies are bitwise equal
+        order = np.argsort(self._gather, kind="stable")
+        self._scatter = CSRProduct(np.concatenate(([0], np.cumsum(counts))),
+                                   order, weights[order], len(order))
 
         if config.variant == "one_level":
             self._deflation = None
@@ -213,14 +274,11 @@ class SchwarzOperator:
 
     def _one_level(self, g: np.ndarray) -> np.ndarray:
         y = g[self._gather]
-        bounds = self._bounds
-        for f, a, b in zip(self._factorizations, bounds, bounds[1:]):
-            y[a:b] = f.solve(y[a:b])
-        if self._scale is not None:
-            y *= self._scale
-        # bincount adds in gather order, i.e. subdomain by subdomain, so
-        # repeated applies are bitwise identical
-        return np.bincount(self._gather, weights=y, minlength=self.n)
+        for f, a, b, k in self._runs:
+            # the run's right-hand sides as the columns of an F-ordered view
+            columns = y[a:b].reshape(k, -1).T
+            columns[...] = f.solve(columns)
+        return self._scatter(y)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         # the local solutions are written back into the gathered copy of g,

@@ -77,14 +77,16 @@ def test_criterion_1_uniform_weights_for_half_integer_gamma():
                     continue
                 part = build_partition(n, p, gamma)
                 c = int(round(2 * gamma + 1))
-                # the weights the operator applies: omega_i per entry, or
-                # the D_i back to back
+                # the weights the operator applies to the gathered local
+                # solutions, omega_i or the entries of D_i, which its
+                # scatter holds as its data
                 for weighting in ("omega", "d_matrix"):
                     op = schwarz.setup(
                         grid.assemble_laplacian(levels), part, None,
                         schwarz.SchwarzConfig("one_level", weighting))
-                    assert op._scale.shape == (c * n,), (d, p, gamma)
-                    assert np.all(op._scale == 1.0 / c), (d, p, gamma)
+                    weights = op._scatter.data
+                    assert weights.shape == (c * n,), (d, p, gamma)
+                    assert np.all(weights == 1.0 / c), (d, p, gamma)
                     assert op.symmetric, (d, p, gamma, weighting)
                 checked += 1
     check("1", checked == 33 and rejected == 3,

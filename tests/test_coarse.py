@@ -165,7 +165,7 @@ class TestDeflation:
 
 
 class TestCoarseCorrectionScatter:
-    """bincount/repeat correction against the sparse R0^T A0^-1 R0 v."""
+    """The correction by CSRProduct and repeat against R0^T A0^-1 R0 v."""
 
     # (N, P, gamma, q): N mod P != 0 with subdomain sizes not divisible
     # by q; aggregates of 8 or more entries, where a pairwise sum would
@@ -190,3 +190,21 @@ class TestCoarseCorrectionScatter:
                   rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)):
             expected = R0.T @ F.solve(R0 @ v)
             np.testing.assert_array_equal(ops.coarse_correction(v), expected)
+            # R0 v is bincount over the aggregate labels, bit for bit
+            labels = np.repeat(np.arange(cs.n0), np.diff(R0.indptr))
+            restrict = linalg.CSRProduct(R0.indptr, R0.indices, R0.data, n)
+            np.testing.assert_array_equal(
+                restrict(v), np.bincount(labels, weights=v, minlength=cs.n0))
+
+    def test_input_read_as_float64(self):
+        A = grid.assemble_laplacian((3, 3))
+        cs = build_coarse(build_partition(49, 4, 0.5), A, 3)
+        ops = DeflationOperators(cs, A)
+        rng = np.random.default_rng(10)
+        for v in (rng.integers(-3, 4, 49), np.ones(49, dtype=np.int32),
+                  rng.standard_normal(49).astype(np.float32)):
+            np.testing.assert_array_equal(
+                ops.coarse_correction(v),
+                ops.coarse_correction(v.astype(np.float64)))
+        with pytest.raises(ValueError):
+            ops.coarse_correction(np.ones(48))

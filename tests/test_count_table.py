@@ -4,7 +4,9 @@ The table (``count_table.json``, written by ``count_table.py``) holds
 about 1,200 small model solves and four combination plans.  Counts and
 exception types must match exactly; Richardson's extremal eigenvalue
 estimates to 1e-10 relative.  A change that moves a count on purpose
-regenerates the table and names the moved cases in CHANGES.md.
+regenerates the table and names the moved cases in CHANGES.md.  The
+preconditioners of every ``ORACLE_STRIDE``-th model case with at most
+``ORACLE_MAX_N`` unknowns are also compared with a dense assembly.
 """
 
 import json
@@ -13,10 +15,18 @@ import numpy as np
 import pytest
 
 import count_table
-from sfcdd import harness
+from sfcdd import grid, harness, schwarz
+from sfcdd.coarse import build_coarse
+from sfcdd.partition import build_partition
+from test_schwarz import dense_oracle
 
 TABLE = json.loads(count_table.TABLE.read_text(encoding="utf-8"))
 LAMBDA_RTOL = 1e-10
+ORACLE_MAX_N = 400
+ORACLE_STRIDE = 10
+# the largest deviation from the dense oracle, relative to the largest
+# entry of the oracle's product
+ORACLE_RTOL = 1e-12
 
 
 def differs(got: dict, want: dict) -> bool:
@@ -68,3 +78,36 @@ def test_every_case_keeps_its_outcome():
             moved[key] = (got, want, "near threshold" if near else "")
     assert not moved, (f"{len(moved)} cases moved (now, table, note): "
                        f"{moved}")
+
+
+def oracle_cases() -> list[tuple]:
+    small = [case for case in count_table.model_cases()
+             if grid.num_dofs(case[0]) <= ORACLE_MAX_N]
+    return small[::ORACLE_STRIDE]
+
+
+def test_operators_match_dense_oracle():
+    # the operator of the case's solve, built as harness.run_model_solve
+    # builds it, applied to seeded vectors
+    cases = oracle_cases()
+    assert len(cases) >= 100
+    deviations = {}
+    for levels, p, gamma, q, variant, weighting, method in cases:
+        n = grid.num_dofs(levels)
+        A_hat = grid.symmetrize_diag(grid.assemble_laplacian(levels),
+                                     np.zeros(n))[0]
+        part = build_partition(n, p, gamma)
+        cs = build_coarse(part, A_hat, q)
+        op = schwarz.setup(A_hat, part, None if variant == "one_level" else cs,
+                           schwarz.SchwarzConfig(variant, weighting))
+        M = dense_oracle(A_hat, part, cs, variant, weighting)
+        rng = np.random.default_rng(count_table.SEED)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            want = M @ v
+            deviation = np.abs(op.apply(v) - want).max() / np.abs(want).max()
+            if not deviation <= ORACLE_RTOL:
+                key = count_table.model_key(
+                    (levels, p, gamma, q, variant, weighting, method))
+                deviations[key] = deviation
+    assert not deviations, deviations

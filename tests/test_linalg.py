@@ -294,6 +294,137 @@ class TestFactorize:
         np.testing.assert_array_equal(F.solve(np.zeros(10)), np.zeros(10))
 
 
+def d1_block(n):
+    """The scaled d = 1 Laplacian's leading n x n block: tridiagonal."""
+    return scaled_laplacian((12,))[:n, :][:, :n].tocsr()
+
+
+class TestSolveColumns:
+    """A solve of an (n, k) right-hand side against k one-column solves."""
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 600])
+    def test_columns_bitwise_on_d1_blocks(self, n):
+        F = linalg.factorize(d1_block(n))
+        rng = np.random.default_rng(n)
+        for k in range(1, 10):
+            # the (n, k) F-ordered view of k stacked right-hand sides, as
+            # the Schwarz apply passes a run's groups
+            y = rng.standard_normal(k * n)
+            B = y.reshape(k, n).T
+            assert B.flags.f_contiguous
+            X = F.solve(B)
+            assert X.shape == (n, k)
+            for j in range(k):
+                assert np.array_equal(X[:, j], F.solve(y[j * n:(j + 1) * n]))
+            assert np.array_equal(y, B.T.ravel())  # b is not written
+            assert F.solves_columns_alike(k)
+
+    @pytest.mark.parametrize("gamma", [0.25, 1.5])
+    def test_one_column_bitwise_on_schwarz_blocks(self, gamma):
+        rng = np.random.default_rng(3)
+        for block in schwarz_blocks(gamma):
+            F = linalg.factorize(block)
+            b = rng.standard_normal(F.n)
+            assert np.array_equal(F.solve(b[:, None])[:, 0], F.solve(b))
+            assert F.solves_columns_alike(1)
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_columns_solve_to_roundoff_on_dense_factor(self, order):
+        # one supernode of 300 columns: its BLAS kernels may round a
+        # several-column solve differently (here k >= 4 did, with
+        # OpenBLAS 0.3.30 on AVX-512); the probe reports whether they do,
+        # and a fresh right-hand side agrees with it
+        n = 300
+        F = linalg.factorize(random_spd(n, 31))
+        rng = np.random.default_rng(32)
+        for k in (1, 2, 5, 8, 9):
+            B = np.asarray(rng.standard_normal((n, k)), order=order)
+            X = F.solve(B)
+            singles = np.column_stack([F.solve(B[:, j].copy())
+                                       for j in range(k)])
+            assert np.abs(X - singles).max() <= 1e-13 * np.abs(singles).max()
+            assert np.array_equal(X, singles) == F.solves_columns_alike(k)
+
+    def test_wrong_leading_dimension_raises(self):
+        F = linalg.factorize(d1_block(10))
+        for shape in [(9, 3), (11, 3), (3, 10), (9,)]:
+            with pytest.raises(ValueError):
+                F.solve(np.ones(shape))
+
+
+class TestCSRProduct:
+    """The direct sparsetools call against ``csr_matrix @ x``, bit for bit."""
+
+    @staticmethod
+    def product(M, dtype=None):
+        indptr, indices = M.indptr, M.indices
+        if dtype is not None:
+            indptr, indices = indptr.astype(dtype), indices.astype(dtype)
+        return linalg.CSRProduct(indptr, indices, M.data, M.shape[1])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_bitwise_equal_to_matmul(self, dtype):
+        rng = np.random.default_rng(40)
+        # rows of many entries, empty rows, unsorted and duplicate indices,
+        # entries spanning 16 orders of magnitude
+        n_row, n_col, nnz = 50, 70, 900
+        row = np.sort(rng.integers(0, n_row - 5, nnz))
+        col = rng.integers(0, n_col, nnz)
+        val = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 8, nnz)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_row))))
+        M = sp.csr_matrix((val, col, indptr), shape=(n_row, n_col))
+        assert not M.has_canonical_format
+        product = self.product(M, dtype)
+        assert product.shape == M.shape
+        for x in (rng.standard_normal(n_col), np.zeros(n_col),
+                  rng.standard_normal(n_col) * 10.0 ** rng.integers(-8, 8, n_col)):
+            y = product(x)
+            assert y.dtype == np.float64
+            assert y.tobytes() == (M @ x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_laplacian(self, dtype):
+        A = scaled_laplacian((4, 3))
+        x = np.random.default_rng(41).standard_normal(A.shape[1])
+        assert self.product(A, dtype)(x).tobytes() == (A @ x).tobytes()
+
+    def test_input_read_as_float64(self):
+        # integers, float32, booleans and a strided view
+        A = scaled_laplacian((3, 3))
+        product = self.product(A)
+        rng = np.random.default_rng(42)
+        for x in (rng.integers(-3, 4, 49), rng.standard_normal(49)
+                  .astype(np.float32), np.ones(49, dtype=bool),
+                  rng.standard_normal(98)[::2]):
+            assert np.array_equal(product(x), product(x.astype(np.float64)))
+            assert np.array_equal(product(x), A @ x)
+
+    def test_rejects_wrong_length(self):
+        product = self.product(scaled_laplacian((3,)))
+        for x in (np.ones(6), np.ones(8), np.ones((7, 1))):
+            with pytest.raises(ValueError):
+                product(x)
+
+    def test_rejects_malformed_arrays(self):
+        A = scaled_laplacian((3,))
+        ok = (A.indptr, A.indices, A.data, 7)
+        assert linalg.CSRProduct(*ok).shape == (7, 7)
+        bad_indices = A.indices.copy()
+        bad_indices[3] = 7
+        for args in [(A.indptr, A.indices, A.data, 6),  # an index past n_col
+                     (A.indptr, bad_indices, A.data, 7),
+                     (A.indptr, -A.indices, A.data, 7),
+                     (A.indptr[:-1], A.indices, A.data, 7),  # end pointer
+                     (A.indptr + 1, A.indices, A.data, 7),
+                     (np.array([0, 5, 2, 8, 11, 14, 17, 19]), A.indices,
+                      A.data, 7),  # a row of negative length
+                     (A.indptr, A.indices, A.data[:-1], 7),
+                     (A.indptr, A.indices.astype(float), A.data, 7),
+                     (A.indptr, A.indices, A.data.astype(np.float32), 7)]:
+            with pytest.raises(ValueError):
+                linalg.CSRProduct(*args)
+
+
 class TestTripleProduct:
     def test_identity_restriction(self):
         A = random_spd(12, 11)

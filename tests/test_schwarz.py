@@ -11,7 +11,7 @@ from sfcdd import grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
 from sfcdd.partition import CyclicRange, build_partition
 from sfcdd.schwarz import (VARIANTS, WEIGHTINGS, SchwarzConfig,
-                           group_starts, principal_block, setup)
+                           group_starts, principal_block, run_starts, setup)
 from weights_reference import compute_weights
 
 
@@ -226,6 +226,114 @@ class TestGroups:
         assert group_starts([1, limit, 1]) == [0, 1, 2, 3]
 
 
+class TestRuns:
+    """Runs of consecutive groups that share a factor, solved by one call."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_runs_are_consecutive_single_factor_and_bounded(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = [object() for _ in range(1 + seed % 4)]
+        # long stretches of one factor, as d = 1 interiors give
+        factors = [pool[i] for i in np.repeat(
+            rng.integers(0, len(pool), 12), rng.integers(1, 20, 12))]
+        starts = run_starts(factors)
+        # consecutive runs that cover every group once, in order
+        assert starts[0] == 0 and starts[-1] == len(factors)
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        for a, b in zip(starts, starts[1:]):
+            assert all(f is factors[a] for f in factors[a:b])
+            assert b - a <= schwarz.RUN_COLUMNS
+            # a group starts a new run only at a new factor or a full run
+            if b < len(factors):
+                assert (factors[b] is not factors[a]
+                        or b - a == schwarz.RUN_COLUMNS)
+
+    def test_cap(self):
+        f, g = object(), object()
+        assert schwarz.RUN_COLUMNS == 8
+        assert run_starts([f] * 17) == [0, 8, 16, 17]
+        assert run_starts([f, g, f, f]) == [0, 1, 2, 4]
+        assert run_starts([f]) == [0, 1]
+
+    # (12,), P = 32: the interior groups share one factor; 14 of them at
+    # gamma = 1/4 and 1/2 (two ranges a group), 29 at gamma = 1 (one range
+    # a group); the first and the last range wrap around N
+    RUNS = {0.25: [1, 8, 6, 1], 0.5: [1, 8, 6, 1], 1.0: [1, 8, 8, 8, 5, 1, 1]}
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bitwise_equal_to_group_by_group(self, monkeypatch, variant,
+                                             weighting, gamma):
+        A, part, cs, op = make_operator((12,), 32, gamma, 2, variant,
+                                        weighting)
+        assert part.overlapped[0].stop > part.n
+        assert part.overlapped[-1].stop > part.n
+        assert [k for *_, k in op._runs] == self.RUNS[gamma]
+        monkeypatch.setattr(schwarz, "RUN_COLUMNS", 1)
+        ref = setup(A, part, cs, SchwarzConfig(variant, weighting))
+        assert len(ref._runs) == len(ref._factorizations)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            g = rng.standard_normal(part.n)
+            got = op.apply(g)
+            assert np.array_equal(got, ref.apply(g))
+            if variant == "one_level":
+                assert np.array_equal(
+                    got, per_group_reference(A, part, weighting, g))
+
+    def test_runs_whose_columns_differ_go_group_by_group(self, monkeypatch):
+        probed = []
+
+        def differ(f, k):
+            probed.append((id(f), k))
+            return False
+
+        monkeypatch.setattr(linalg.Factorization, "solves_columns_alike",
+                            differ)
+        A, part, _, op = make_operator((12,), 32, 0.5, 2, "one_level",
+                                       "d_matrix")
+        shared = id(op._factorizations[1])
+        assert probed == [(shared, 8), (shared, 6)]
+        assert [k for *_, k in op._runs] == [1] * 16
+        g = np.random.default_rng(18).standard_normal(part.n)
+        assert np.array_equal(op.apply(g),
+                              per_group_reference(A, part, "d_matrix", g))
+
+
+class TestScatter:
+    """The scatter product against bincount over the weighted entries."""
+
+    @pytest.mark.parametrize("levels,p,gamma", [((12,), 32, 0.5),
+                                                ((3,), 5, 1.25),
+                                                ((4, 3), 7, 0.25),
+                                                ((6,), 63, 0.25)])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_bitwise_equal_to_bincount(self, levels, p, gamma, weighting):
+        _, part, _, op = make_operator(levels, p, gamma, 1, "one_level",
+                                       weighting)
+        gather = np.concatenate([r.indices() for r in part.overlapped])
+        assert np.array_equal(op._gather, gather)
+        weights = compute_weights(part)
+        lengths = [r.length for r in part.overlapped]
+        scale = {"none": np.ones(len(gather)),
+                 "omega": np.repeat(weights.omega, lengths),
+                 "d_matrix": np.concatenate(weights.diagonals)}[weighting]
+        assert op._scatter.shape == (part.n, len(gather))
+        # every row's entries in gather order
+        indptr, indices = op._scatter.indptr, op._scatter.indices
+        assert np.array_equal(gather[indices],
+                              np.repeat(np.arange(part.n), np.diff(indptr)))
+        assert all(np.all(np.diff(indices[a:b]) > 0)
+                   for a, b in zip(indptr, indptr[1:]))
+        rng = np.random.default_rng(19)
+        for y in (rng.standard_normal(len(gather)),
+                  rng.standard_normal(len(gather))
+                  * 10.0 ** rng.integers(-8, 8, len(gather))):
+            want = np.bincount(gather, weights=y * scale, minlength=part.n)
+            assert np.array_equal(op._scatter(y), want)
+
+
 class TestSetup:
     def test_single_subdomain_is_exact_inverse(self):
         A, _, _, op = make_operator((5,), 1, 0.0, 1, variant="one_level")
@@ -234,8 +342,10 @@ class TestSetup:
         np.testing.assert_allclose(A @ op.apply(v), v, atol=1e-10)
 
     def test_gamma_half_weightings_bitwise_identical(self):
-        scales = [make_operator((6,), 4, 0.5, 2, "one_level", w)[3]._scale
-                  for w in ("omega", "d_matrix")]
+        # the per-entry weights of the gathered local solutions, which the
+        # scatter holds as its data
+        scales = [make_operator((6,), 4, 0.5, 2, "one_level", w)[3]
+                  ._scatter.data for w in ("omega", "d_matrix")]
         assert scales[0].shape == (126,)
         assert np.all(scales[0] == 0.5)
         assert np.array_equal(scales[0], scales[1])
