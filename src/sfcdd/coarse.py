@@ -4,7 +4,16 @@ Each disjoint subdomain range contributes q coarse degrees of freedom:
 its indices are split into q consecutive chunks, and the coarse
 restriction has one 0/1 indicator row per chunk.  The coarse matrix is
 the Galerkin product of the restriction with the fine matrix.  Built on
-the disjoint partition, never on the overlapped one.
+the disjoint partition, never on the overlapped one.  The first factor
+of that product, R0 A, is kept: for symmetric A its transpose is A R0^T,
+so the deflation projections need no product by the fine matrix.
+
+Cost of the coarse terms of one Schwarz apply (:mod:`sfcdd.schwarz`):
+``additive_two_level`` makes one coarse correction F g (a restriction,
+a coarse solve and a prolongation); ``deflated`` makes two coarse
+solves, one restriction by R0 and one by R0 A, and one prolongation;
+``balanced`` adds one product by (R0 A)^T.  None of them multiplies by
+the fine matrix.
 
 The coarse matrix A0 is solved by a sparse LU factor, except that from
 n0 = ``CG_MIN_N0`` unknowns on, :func:`build_coarse` first tries
@@ -43,13 +52,18 @@ def aggregate_sizes(subdomain_size: int, q: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """Restriction, Galerkin matrix and solver of the coarse problem."""
+    """Restriction, Galerkin matrix and solver of the coarse problem.
+
+    ``restricted_matrix`` is R0 A, the first factor of the Galerkin
+    product ``matrix`` = R0 A R0^T (symmetrized).
+    """
 
     q: int
     n0: int
     restriction: sp.csr_matrix
     matrix: sp.csr_matrix
     factorization: Factorization | JacobiCG
+    restricted_matrix: sp.csr_matrix
 
 
 def coarse_solver(A0) -> Factorization | JacobiCG:
@@ -75,29 +89,47 @@ def build_coarse(part: Partition, A, q: int) -> CoarseSpace:
     R0 = sp.csr_matrix(
         (np.ones(part.n), np.arange(part.n), indptr), shape=(n0, part.n)
     )
-    A0 = triple_product(R0, A)
-    return CoarseSpace(q, n0, R0, A0, coarse_solver(A0))
+    R0A, A0 = triple_product(R0, A)
+    return CoarseSpace(q, n0, R0, A0, coarse_solver(A0), R0A)
 
 
 class DeflationOperators:
-    """Coarse correction F = R0^T A0^-1 R0, with one sparse product.
+    """Coarse correction F = R0^T A0^-1 R0 and the products by the kept R0 A.
 
     The Schwarz variants build the projections G v = v - A F v and
-    G^T v = v - F A v from it; F A F = F holds by the Galerkin
-    construction.
+    G^T v = v - F A v from them; F A F = F holds by the Galerkin
+    construction.  A R0^T is applied as (R0 A)^T, which assumes the
+    symmetric A the coarse space was built from, so no product by A is
+    made.
     """
 
-    def __init__(self, cs: CoarseSpace, A):
-        if A.shape[1] != cs.restriction.shape[1]:
-            raise ValueError("coarse space size does not match matrix")
+    def __init__(self, cs: CoarseSpace):
         self._solver = cs.factorization
-        R0 = cs.restriction
+        R0, R0A = cs.restriction, cs.restricted_matrix
         self._restrict = CSRProduct(R0.indptr, R0.indices, R0.data, R0.shape[1])
+        self._restrict_a = CSRProduct(R0A.indptr, R0A.indices, R0A.data,
+                                      R0A.shape[1])
         # the aggregates tile [0, N) in order (see build_coarse), so R0^T
         # repeats each coarse value over its chunk of consecutive entries
         self._sizes = np.diff(R0.indptr)
 
-    def coarse_correction(self, v: np.ndarray) -> np.ndarray:
-        # R0 v is bitwise R0 @ v, and the repeat is exact, so the result
-        # is bitwise R0^T @ (A0^-1 R0 v)
-        return np.repeat(self._solver.solve(self._restrict(v)), self._sizes)
+    def coarse_correction(self, v: np.ndarray, *, times_a: bool = False,
+                          prolong: bool = True) -> np.ndarray:
+        """F v with one coarse solve; F A v with ``times_a``.
+
+        With ``times_a`` the restriction is R0 A v by the kept R0 A.
+        Without ``prolong`` the result is the coarse vector A0^-1 R0 v (or
+        A0^-1 R0 A v) before R0^T.  R0 v is bitwise R0 @ v and the
+        prolongation is exact, so F v is bitwise R0^T @ (A0^-1 R0 v).
+        """
+        restrict = self._restrict_a if times_a else self._restrict
+        y = self._solver.solve(restrict(v))
+        return self.prolong(y) if prolong else y
+
+    def prolong(self, y: np.ndarray) -> np.ndarray:
+        """R0^T y: each coarse value repeated over its aggregate."""
+        return np.repeat(y, self._sizes)
+
+    def prolong_a(self, y: np.ndarray) -> np.ndarray:
+        """A R0^T y, as (R0 A)^T y."""
+        return self._restrict_a.rmatvec(y)

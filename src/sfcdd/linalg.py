@@ -19,9 +19,11 @@ columns of an (n, k) array; SuperLU's supernodal triangular solves share
 their index work among the k columns.
 
 :class:`CSRProduct` is the product ``M @ x`` of a fixed CSR matrix and a
-vector, bit for bit, through the sparsetools kernel behind
-``csr_matrix @``: the Schwarz scatter and the coarse restriction are
-such products, made on every apply.
+vector, and ``M^T y`` by :meth:`CSRProduct.rmatvec`, bit for bit, through
+the sparsetools kernels behind ``csr_matrix @`` and ``csr_matrix.T @``:
+the Schwarz scatter, the coarse restriction and the products by the
+kept first factor R A of the Galerkin product are such products, made
+on every apply.
 
 :class:`JacobiCG` has the same interface (``n``, ``nnz``, ``solve``) and
 solves by Jacobi-preconditioned CG instead of a factor.  Every solve
@@ -301,12 +303,34 @@ class CSRProduct:
                                 self.data, x, y)
         return y
 
+    def rmatvec(self, y) -> np.ndarray:
+        """``M^T y``, bit for bit as ``csr_matrix.T @ y``.
 
-def triple_product(R, A) -> sp.csr_matrix:
-    """Galerkin product R A R^T, symmetrized; A must be symmetric (unchecked)."""
+        M's CSR arrays are those of M^T in CSC, so this is the CSC kernel
+        behind that product: entry j of the result sums ``M[i, j] y[i]``
+        over the rows i in order, from 0.0.  ``y`` is read as float64.
+        """
+        n_row, n_col = self.shape
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (n_row,):
+            raise ValueError(f"dimension mismatch: M is {self.shape}, y has shape {y.shape}")
+        x = np.zeros(n_col)
+        _sparsetools.csc_matvec(n_col, n_row, self.indptr, self.indices,
+                                self.data, y, x)
+        return x
+
+
+def triple_product(R, A) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(R A, B)``: the Galerkin product B = R A R^T, symmetrized, and its first factor.
+
+    A must be symmetric (unchecked).  R A is the CSR product B is built
+    from, as scipy returns it (its column indices need not be sorted);
+    B is in canonical CSR.
+    """
     if R.shape[1] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError(f"dimension mismatch: R {R.shape}, A {A.shape}")
-    B = sp.csr_matrix(R @ A @ R.T)
+    RA = R @ A
+    B = sp.csr_matrix(RA @ R.T)
     B = sp.csr_matrix((B + B.T) * 0.5)
     B.sort_indices()
-    return B
+    return RA, B

@@ -127,7 +127,7 @@ class TestDeflation:
         self.A = grid.assemble_laplacian(self.levels)
         self.part = build_partition(49, 4, 0.5)
         self.cs = build_coarse(self.part, self.A, 3)
-        self.ops = DeflationOperators(self.cs, self.A)
+        self.ops = DeflationOperators(self.cs)
 
     def test_coarse_correction_matches_dense(self):
         F = dense_coarse_correction(self.cs, self.A)
@@ -144,6 +144,24 @@ class TestDeflation:
         v = self.cs.restriction.T @ w
         np.testing.assert_allclose(self.ops.coarse_correction(self.A @ v), v,
                                    atol=1e-10)
+
+    def test_products_by_the_kept_restricted_matrix(self):
+        # F A v and A R0^T y through R0 A, without a product by A
+        rng = np.random.default_rng(11)
+        R0, A = self.cs.restriction, self.A
+        assert abs(self.cs.restricted_matrix - R0 @ A).max() == 0.0
+        for _ in range(3):
+            v = rng.standard_normal(49)
+            y = rng.standard_normal(self.cs.n0)
+            np.testing.assert_allclose(
+                self.ops.coarse_correction(v, times_a=True),
+                self.ops.coarse_correction(A @ v), rtol=1e-13, atol=1e-13)
+            coarse = self.ops.coarse_correction(v, times_a=True, prolong=False)
+            assert coarse.shape == (self.cs.n0,)
+            assert np.array_equal(self.ops.prolong(coarse),
+                                  self.ops.coarse_correction(v, times_a=True))
+            np.testing.assert_allclose(self.ops.prolong_a(y), A @ (R0.T @ y),
+                                       rtol=1e-14, atol=1e-14)
 
     def test_faf_equals_f_densely(self):
         F = dense_coarse_correction(self.cs, self.A)
@@ -183,7 +201,7 @@ class TestCoarseCorrectionScatter:
                          format="csr")
         part = build_partition(n, p, gamma)
         cs = build_coarse(part, A, q)
-        ops = DeflationOperators(cs, A)
+        ops = DeflationOperators(cs)
         R0, F = cs.restriction, cs.factorization
         rng = np.random.default_rng(n * p + q)
         for v in (rng.standard_normal(n), np.zeros(n),
@@ -199,7 +217,7 @@ class TestCoarseCorrectionScatter:
     def test_input_read_as_float64(self):
         A = grid.assemble_laplacian((3, 3))
         cs = build_coarse(build_partition(49, 4, 0.5), A, 3)
-        ops = DeflationOperators(cs, A)
+        ops = DeflationOperators(cs)
         rng = np.random.default_rng(10)
         for v in (rng.integers(-3, 4, 49), np.ones(49, dtype=np.int32),
                   rng.standard_normal(49).astype(np.float32)):

@@ -1,12 +1,14 @@
 """Coarse solves by Jacobi-PCG: the selection rule, its failure modes, and
 iteration counts equal to those of the factorized coarse problem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from sfcdd import coarse, combine, grid, krylov, linalg, schwarz
-from sfcdd.coarse import CoarseSpace, build_coarse
+from sfcdd.coarse import build_coarse
 from sfcdd.partition import build_partition
 
 
@@ -26,8 +28,7 @@ def model_coarse(levels, p, q, gamma=0.5):
 
 def with_cg(cs):
     """The same coarse space, its problem solved by JacobiCG."""
-    return CoarseSpace(cs.q, cs.n0, cs.restriction, cs.matrix,
-                       linalg.JacobiCG(cs.matrix))
+    return dataclasses.replace(cs, factorization=linalg.JacobiCG(cs.matrix))
 
 
 class TestSelectionRule:

@@ -388,6 +388,38 @@ class TestCSRProduct:
         x = np.random.default_rng(41).standard_normal(A.shape[1])
         assert self.product(A, dtype)(x).tobytes() == (A @ x).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_transposed_bitwise_equal_to_matmul(self, dtype):
+        rng = np.random.default_rng(43)
+        # as above: empty rows and columns, unsorted and duplicate indices
+        n_row, n_col, nnz = 60, 45, 800
+        row = np.sort(rng.integers(0, n_row - 5, nnz))
+        col = rng.integers(0, n_col - 3, nnz)
+        val = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 8, nnz)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_row))))
+        M = sp.csr_matrix((val, col, indptr), shape=(n_row, n_col))
+        assert not M.has_canonical_format
+        product = self.product(M, dtype)
+        for y in (rng.standard_normal(n_row), np.zeros(n_row),
+                  rng.standard_normal(n_row) * 10.0 ** rng.integers(-8, 8, n_row)):
+            x = product.rmatvec(y)
+            assert x.dtype == np.float64 and x.shape == (n_col,)
+            assert x.tobytes() == (M.T @ y).tobytes()
+        # a wide matrix, as R0 A is, and a square one
+        for M in (sp.random(7, 90, density=0.3, random_state=rng, format="csr"),
+                  scaled_laplacian((4, 3))):
+            y = rng.standard_normal(M.shape[0])
+            assert self.product(M, dtype).rmatvec(y).tobytes() == (M.T @ y).tobytes()
+
+    def test_transposed_input_read_as_float64(self):
+        A = scaled_laplacian((3, 3))
+        product = self.product(A)
+        rng = np.random.default_rng(44)
+        for y in (rng.integers(-3, 4, 49), rng.standard_normal(49)
+                  .astype(np.float32), rng.standard_normal(98)[::2]):
+            assert np.array_equal(product.rmatvec(y),
+                                  product.rmatvec(y.astype(np.float64)))
+
     def test_input_read_as_float64(self):
         # integers, float32, booleans and a strided view
         A = scaled_laplacian((3, 3))
@@ -404,6 +436,14 @@ class TestCSRProduct:
         for x in (np.ones(6), np.ones(8), np.ones((7, 1))):
             with pytest.raises(ValueError):
                 product(x)
+        # M is 2 x 5: M x takes 5 entries, M^T y takes 2
+        M = sp.csr_matrix(np.arange(10.0).reshape(2, 5))
+        wide = self.product(M)
+        for y in (np.ones(5), np.ones(1), np.ones((2, 1))):
+            with pytest.raises(ValueError):
+                wide.rmatvec(y)
+        with pytest.raises(ValueError):
+            wide(np.ones(2))
 
     def test_rejects_malformed_arrays(self):
         A = scaled_laplacian((3,))
@@ -428,13 +468,14 @@ class TestCSRProduct:
 class TestTripleProduct:
     def test_identity_restriction(self):
         A = random_spd(12, 11)
-        B = linalg.triple_product(sp.eye(12, format="csr"), A)
+        RA, B = linalg.triple_product(sp.eye(12, format="csr"), A)
         np.testing.assert_allclose(B.toarray(), A.toarray(), atol=1e-13)
+        np.testing.assert_allclose(RA.toarray(), A.toarray(), atol=1e-13)
 
     def test_all_ones_row_sums_everything(self):
         A = random_spd(8, 12)
         R = sp.csr_matrix(np.ones((1, 8)))
-        B = linalg.triple_product(R, A)
+        _, B = linalg.triple_product(R, A)
         assert B.shape == (1, 1)
         assert B[0, 0] == pytest.approx(A.toarray().sum(), rel=1e-13)
 
@@ -443,10 +484,29 @@ class TestTripleProduct:
         A = random_spd(30, 14)
         assign = rng.integers(0, 5, size=30)
         R = sp.csr_matrix((np.ones(30), (assign, np.arange(30))), shape=(5, 30))
-        B = linalg.triple_product(R, A)
+        RA, B = linalg.triple_product(R, A)
         expected = R.toarray() @ A.toarray() @ R.toarray().T
         np.testing.assert_allclose(B.toarray(), expected, atol=1e-11)
         assert abs(B - B.T).max() == 0.0
+        assert RA.format == "csr"
+        np.testing.assert_allclose(RA.toarray(), R.toarray() @ A.toarray(),
+                                   atol=1e-12)
+
+    def test_galerkin_matrix_is_built_from_the_kept_factor(self):
+        # B is bitwise the symmetrized product of the returned R A, as the
+        # one-expression form R @ A @ R.T computed it
+        rng = np.random.default_rng(15)
+        A = random_spd(40, 16)
+        assign = np.sort(rng.integers(0, 6, size=40))
+        R = sp.csr_matrix((np.ones(40), (assign, np.arange(40))), shape=(6, 40))
+        RA, B = linalg.triple_product(R, A)
+        assert np.array_equal(RA.toarray(), (R @ A).toarray())
+        ref = sp.csr_matrix(R @ A @ R.T)
+        ref = sp.csr_matrix((ref + ref.T) * 0.5)
+        ref.sort_indices()
+        for got, want in [(B.indptr, ref.indptr), (B.indices, ref.indices),
+                          (B.data, ref.data)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Schwarz operator variants against densely assembled oracles."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -128,6 +129,34 @@ def per_group_reference(A, part, weighting, g):
 def assert_close(got, want):
     """Agreement to 1e-13 relative to the largest entry of ``want``."""
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def apply_through_a(op, A, g):
+    """``op.apply(g)`` with G and G^T as products by A, F as the operator's own.
+
+    The reference for the coarse terms: this is how the two-level
+    variants were applied before the coarse space kept R0 A.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    variant = op.config.variant
+    if variant == "one_level":
+        return op._one_level(g)
+    F = op._deflation.coarse_correction
+    if variant == "additive_two_level":
+        w = op._one_level(g)
+        w += F(g)
+        return w
+    if variant == "deflated":
+        w = op._one_level(g)
+        w -= F(A @ w)
+        w += F(g)
+        return w
+    fg = F(g)
+    r = A @ fg
+    w = op._one_level(np.subtract(g, r, out=r))
+    w -= F(A @ w)
+    w += fg
+    return w
 
 
 def make_operator(levels, p, gamma, q, variant="balanced", weighting="omega"):
@@ -593,6 +622,82 @@ class TestSharedFactors:
                    SchwarzConfig("balanced", "omega"))
         assert len(op._factorizations) == 4
         assert len({id(f) for f in op._factorizations}) == 4
+
+
+class TestCoarseTerms:
+    """The applies through the kept R0 A against products by A and the oracle.
+
+    ``one_level`` and ``additive_two_level`` make no product by A and stay
+    bitwise equal to the reference; ``deflated`` and ``balanced`` sum in
+    another order and agree to 1e-13 relative.  Every case has a range
+    that wraps around N.
+    """
+
+    # (matrix, P, q): d = 1 and d = 2 Laplacians, and a two-sided scaled
+    # random SPD matrix, symmetric to roundoff only
+    CASES = {"(8,)": ((8,), 8, 2), "(4,3)": ((4, 3), 5, 3),
+             "random": (96, 6, 2)}
+
+    @staticmethod
+    def operators(case, gamma, weighting, solver):
+        spec, p, q = TestCoarseTerms.CASES[case]
+        if isinstance(spec, int):
+            A = random_scaled_spd(spec, 21)
+        else:
+            A = grid.symmetrize_diag(grid.assemble_laplacian(spec),
+                                     np.zeros(grid.num_dofs(spec)))[0]
+        part = build_partition(A.shape[0], p, gamma)
+        assert any(r.stop > part.n for r in part.overlapped)
+        cs = build_coarse(part, A, q)
+        if solver == "cg":
+            cs = dataclasses.replace(
+                cs, factorization=linalg.JacobiCG(cs.matrix))
+        ops = {v: setup(A, part, None if v == "one_level" else cs,
+                        SchwarzConfig(v, weighting)) for v in VARIANTS}
+        return A, part, cs, ops
+
+    @pytest.mark.parametrize("solver", ["factor", "cg"])
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.25])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_match_products_by_a_and_dense_oracle(self, case, weighting,
+                                                  gamma, solver):
+        A, part, cs, ops = self.operators(case, gamma, weighting, solver)
+        rng = np.random.default_rng(23)
+        vectors = [rng.standard_normal(part.n) for _ in range(3)]
+        for variant, op in ops.items():
+            oracle = dense_oracle(A, part, cs, variant, weighting)
+            for g in vectors:
+                got = op.apply(g)
+                want = apply_through_a(op, A, g)
+                if variant in ("one_level", "additive_two_level"):
+                    assert np.array_equal(got, want)
+                else:
+                    assert_close(got, want)
+                exact = oracle @ g
+                assert (np.abs(got - exact).max()
+                        <= 1e-12 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("solver", ["factor", "cg"])
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 1.25])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_balanced_is_symmetric(self, case, gamma, solver):
+        # omega weighting: a multiple of the identity on every subdomain
+        _, part, _, ops = self.operators(case, gamma, "omega", solver)
+        op = ops["balanced"]
+        assert op.symmetric
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            u, v = rng.standard_normal(part.n), rng.standard_normal(part.n)
+            assert abs(u @ op.apply(v) - v @ op.apply(u)) <= 1e-13 * (
+                np.linalg.norm(u) * np.linalg.norm(v))
+
+    def test_coarse_space_of_another_size_is_refused(self):
+        A, part, _, _ = make_operator((5,), 4, 0.5, 2)
+        other = build_coarse(build_partition(15, 4, 0.5),
+                             grid.assemble_laplacian((4,)), 2)
+        with pytest.raises(ValueError, match="coarse space size"):
+            setup(A, part, other, SchwarzConfig())
 
 
 class TestSpectralProperties:
