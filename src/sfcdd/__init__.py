@@ -5,7 +5,7 @@ from .coarse import CoarseSpace, build_coarse
 from .combine import (CombinationPlan, enumerate_plan, run_combination,
                       sampled_error, subdomain_count_total)
 from .grid import (Problem, assemble_laplacian, manufactured_poisson, num_dofs,
-                   symmetrize_diag)
+                   scaled_laplacian, symmetrize_diag)
 from .krylov import (SolveReport, SolverConfig, estimate_extremal_eigs,
                      initial_iterate)
 from .linalg import Factorization, factorize, triple_product
@@ -21,7 +21,7 @@ __all__ = [
     "CombinationPlan", "enumerate_plan", "run_combination", "sampled_error",
     "subdomain_count_total",
     "Problem", "assemble_laplacian", "manufactured_poisson", "num_dofs",
-    "symmetrize_diag",
+    "scaled_laplacian", "symmetrize_diag",
     "SolveReport", "SolverConfig", "estimate_extremal_eigs",
     "initial_iterate",
     "Factorization", "factorize", "triple_product",

@@ -183,10 +183,21 @@ def _configs(*, variant, weighting, method, tolerance, seed, max_iters):
                                 max_iters=max_iters, seed=seed))
 
 
+def build_operator(levels, part, q: int, config: schwarz.SchwarzConfig):
+    """Every solve's (A_hat, t, coarse space or None, Schwarz operator)."""
+    A_hat, t = grid.scaled_laplacian(levels)
+    cs = build_coarse(part, A_hat, q) if config.variant != "one_level" else None
+    return A_hat, t, cs, schwarz.setup(A_hat, part, cs, config)
+
+
 def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
                      weighting="omega", method="pcg", tolerance=1e-8,
                      seed: int = 42, max_iters: int = 20000):
-    """Solve one anisotropic subproblem; returns (PartialSolution, clamp notes)."""
+    """Solve one anisotropic subproblem; returns (PartialSolution, clamp notes).
+
+    Clamps P and gamma, builds the operator with :func:`build_operator`
+    and solves A_hat x_hat = t b; the values are x = t x_hat.
+    """
     cfg, solver_cfg = _configs(
         variant=variant, weighting=weighting, method=method,
         tolerance=tolerance, seed=seed, max_iters=max_iters)
@@ -201,14 +212,9 @@ def solve_subproblem(levels, p_target: int, *, gamma=0.5, variant="balanced",
         clamps.append(f"levels={levels}: gamma clamped {g} -> 0 (P={p})")
         g = 0.0
     q = default_q_rule(n, p)
-    # A is not kept: alive while the coarse factor is built, it keeps the
-    # heap from reusing SuperLU's freed workspace (README.md, Memory)
-    A_hat, b_hat, t = grid.symmetrize_diag(
-        grid.assemble_laplacian(levels),
-        grid.sample_on_grid(problem.rhs, levels))
     part = build_partition(n, p, g)
-    cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
-    op = schwarz.setup(A_hat, part, cs, cfg)
+    A_hat, t, cs, op = build_operator(levels, part, q, cfg)
+    b_hat = t * grid.sample_on_grid(problem.rhs, levels)
     report = krylov.run(A_hat, b_hat, op, solver_cfg, np.zeros(n))
     if not report.converged:
         raise CombinationError(f"subproblem {levels} did not converge")

@@ -127,6 +127,20 @@ def assemble_laplacian(levels) -> sp.csr_matrix:
     return A
 
 
+def scaled_laplacian(levels):
+    """:func:`assemble_laplacian` scaled in place to unit diagonal: (A_hat, t).
+
+    Its diagonal is the one value 2 sum_j 4**l_j, so T = t I and each
+    entry becomes (a_ij t) t, bit for bit ``symmetrize_diag``'s A_hat.
+    """
+    levels = as_levels(levels)
+    A = assemble_laplacian(levels)
+    t = 1.0 / np.sqrt(2.0 * sum(float(4**l) for l in levels))
+    A.data *= t
+    A.data *= t
+    return A, t
+
+
 def symmetrize_diag(A, b):
     """Two-sided diagonal scaling to unit diagonal.
 

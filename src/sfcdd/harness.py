@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import combine, grid, krylov, schwarz, sfc
-from .coarse import build_coarse
 from .partition import build_partition, overlap_fits, read_gamma
 
 DEFAULT_P_SWEEP = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -108,9 +107,9 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
                     seed=42, max_iters=20000) -> krylov.SolveReport:
     """One solve of the zero-solution Laplace study at full history.
 
-    Iterates on the diagonally scaled system; since x = T x_hat, the
-    energy norm of the scaled error equals the unscaled one exactly, so
-    the recorded histories are the untransformed energy errors.
+    Iterates on :func:`combine.build_operator`'s scaled system; as
+    x = t x_hat, the scaled error's energy norm is the unscaled one
+    exactly, so the histories are the untransformed energy errors.
     """
     levels = grid.as_levels(levels)
     # every setting but q is checked before the operator is built
@@ -121,14 +120,10 @@ def run_model_solve(levels, p: int, gamma: float, q: int, *, method="pcg",
     cfg = schwarz.SchwarzConfig(variant=variant, weighting=weighting)
     n = grid.num_dofs(levels)
     part = build_partition(n, p, gamma)
-    # A is not kept: alive while the coarse factor is built, it keeps the
-    # heap from reusing SuperLU's freed workspace (README.md, Memory)
-    A_hat, b_hat, _ = grid.symmetrize_diag(grid.assemble_laplacian(levels),
-                                           np.zeros(n))
-    cs = build_coarse(part, A_hat, q) if variant != "one_level" else None
-    op = schwarz.setup(A_hat, part, cs, cfg)
+    A_hat, _, cs, op = combine.build_operator(levels, part, q, cfg)
     x0 = krylov.initial_iterate(n, seed, A_hat)
-    report = krylov.run(A_hat, b_hat, op, solver_cfg, x0, exact=np.zeros(n))
+    zero = np.zeros(n)
+    report = krylov.run(A_hat, zero, op, solver_cfg, x0, exact=zero)
     report.params.update({
         "d": len(levels), "levels": levels, "N": n, "P": p, "gamma": gamma,
         "q": q, "variant": variant, "weighting": weighting, "method": method,

@@ -44,13 +44,10 @@ def check_pinned(num: str, counts: dict) -> None:
 
 def model_runs(levels, p, gamma, q, methods, weighting="omega", seed=42):
     """Zero-solution model solves sharing one operator setup across methods."""
-    A = grid.assemble_laplacian(levels)
-    n = A.shape[0]
-    A_hat, _, _ = grid.symmetrize_diag(A, np.zeros(n))
+    n = grid.num_dofs(levels)
     part = build_partition(n, p, gamma)
-    cs = build_coarse(part, A_hat, q)
-    op = schwarz.setup(A_hat, part, cs,
-                       schwarz.SchwarzConfig("balanced", weighting))
+    A_hat, _, _, op = combine.build_operator(
+        levels, part, q, schwarz.SchwarzConfig("balanced", weighting))
     x0 = krylov.initial_iterate(n, seed, A_hat)
     zero = np.zeros(n)
     out = {}
@@ -164,12 +161,9 @@ def test_criterion_5_richardson_rate_matches_eigen_oracle():
         (8,), 4, 0.5, 16, method="richardson", variant="balanced",
         weighting="omega", seed=42)
     # the oracle: a dense eigensolve of C^-1 A for the same operator
-    A = grid.assemble_laplacian((8,))
-    n = A.shape[0]
-    A_hat, _, _ = grid.symmetrize_diag(A, np.zeros(n))
-    part = build_partition(n, 4, 0.5)
-    op = schwarz.setup(A_hat, part, build_coarse(part, A_hat, 16),
-                       schwarz.SchwarzConfig("balanced", "omega"))
+    part = build_partition(grid.num_dofs((8,)), 4, 0.5)
+    A_hat, _, _, op = combine.build_operator(
+        (8,), part, 16, schwarz.SchwarzConfig("balanced", "omega"))
     lam = np.real(np.linalg.eigvals(
         schwarz_oracles.dense_operator(op) @ A_hat.toarray()))
     assert rep.lambda_min == pytest.approx(lam.min(), rel=1e-6)

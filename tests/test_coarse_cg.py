@@ -20,9 +20,8 @@ def shifted_laplacian_1d(n):
 
 def model_coarse(levels, p, q, gamma=0.5):
     """Scaled Laplacian, partition and factorized coarse space."""
-    n = grid.num_dofs(levels)
-    A, _, _ = grid.symmetrize_diag(grid.assemble_laplacian(levels), np.zeros(n))
-    part = build_partition(n, p, gamma)
+    A, _ = grid.scaled_laplacian(levels)
+    part = build_partition(A.shape[0], p, gamma)
     return A, part, build_coarse(part, A, q)
 
 

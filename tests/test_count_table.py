@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import count_table
-from sfcdd import grid, harness, schwarz
-from sfcdd.coarse import build_coarse
+from sfcdd import combine, grid, harness, schwarz
 from sfcdd.partition import build_partition
 from test_schwarz import dense_oracle
 
@@ -94,12 +93,9 @@ def test_operators_match_dense_oracle():
     deviations = {}
     for levels, p, gamma, q, variant, weighting, method in cases:
         n = grid.num_dofs(levels)
-        A_hat = grid.symmetrize_diag(grid.assemble_laplacian(levels),
-                                     np.zeros(n))[0]
         part = build_partition(n, p, gamma)
-        cs = build_coarse(part, A_hat, q)
-        op = schwarz.setup(A_hat, part, None if variant == "one_level" else cs,
-                           schwarz.SchwarzConfig(variant, weighting))
+        A_hat, _, cs, op = combine.build_operator(
+            levels, part, q, schwarz.SchwarzConfig(variant, weighting))
         M = dense_oracle(A_hat, part, cs, variant, weighting)
         rng = np.random.default_rng(count_table.SEED)
         for _ in range(3):

@@ -255,6 +255,23 @@ class TestSymmetrizeDiag:
             grid.symmetrize_diag(A, np.zeros(3))
 
 
+@pytest.mark.parametrize("levels", [(1,), (1, 1), (9,), (17,), (3, 4), (6, 6),
+                                    (2, 2, 3), (3, 2, 3, 2),
+                                    (2, 2, 2, 2, 2, 2)])
+def test_scaled_laplacian_bitwise_equal_to_symmetrize_diag(levels):
+    # the in-place scaling by the scalar t against the reference, which
+    # scales a copy by the diagonal's entries
+    b = np.random.default_rng(1).standard_normal(grid.num_dofs(levels))
+    ref, ref_b, ref_t = grid.symmetrize_diag(grid.assemble_laplacian(levels), b)
+    A_hat, t = grid.scaled_laplacian(levels)
+    assert A_hat.format == "csr" and A_hat.has_canonical_format
+    for got, want in [(A_hat.indptr, ref.indptr), (A_hat.indices, ref.indices),
+                      (A_hat.data, ref.data), (t * b, ref_b)]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    assert np.all(ref_t == t)
+
+
 def fd_laplacian(u, x, h=1e-5):
     """Second-order central FD Laplacian of a callable, the rhs oracle."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfcdd import grid, krylov, linalg
-from sfcdd.coarse import build_coarse
+from sfcdd import combine, grid, krylov
 from sfcdd.partition import build_partition
-from sfcdd.schwarz import SchwarzConfig, setup
+from sfcdd.schwarz import SchwarzConfig
 
 
 class ExactInverse:
@@ -23,12 +22,9 @@ class ExactInverse:
 
 
 def model_setup(levels, p, gamma, q, variant="balanced", weighting="omega"):
-    A = grid.assemble_laplacian(levels)
-    n = A.shape[0]
-    Ah, _, _ = grid.symmetrize_diag(A, np.zeros(n))
-    part = build_partition(n, p, gamma)
-    cs = build_coarse(part, Ah, q) if variant != "one_level" else None
-    op = setup(Ah, part, cs, SchwarzConfig(variant, weighting))
+    part = build_partition(grid.num_dofs(levels), p, gamma)
+    Ah, _, _, op = combine.build_operator(levels, part, q,
+                                          SchwarzConfig(variant, weighting))
     return Ah, op
 
 
@@ -276,7 +272,7 @@ def test_preconditioner_output_may_alias_its_input(method):
     # the methods update their own arrays in place; an apply that returns
     # the residual itself must not be updated with them
     zero = np.zeros(31)
-    Ah, _, _ = grid.symmetrize_diag(grid.assemble_laplacian((5,)), zero)
+    Ah, _ = grid.scaled_laplacian((5,))
     x0 = krylov.initial_iterate(31, 42, Ah)
     cfg = _cfg(method, max_iters=40)
     ref = krylov.run(Ah, zero, None, cfg, x0, exact=zero)

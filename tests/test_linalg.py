@@ -28,17 +28,12 @@ def csc_arrays(A):
     return A.data, A.indices, A.indptr, A.shape[0]
 
 
-def scaled_laplacian(levels):
-    A = grid.assemble_laplacian(levels)
-    return grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
-
-
 def schwarz_blocks(gamma):
     """Every block of a (4, 4), P = 7 partition, and their block-diagonal.
 
     The first range wraps.
     """
-    A = scaled_laplacian((4, 4))
+    A = grid.scaled_laplacian((4, 4))[0]
     part = build_partition(A.shape[0], 7, gamma)
     assert part.overlapped[0].stop > A.shape[0]
     return ([principal_block(A, [rng]) for rng in part.overlapped]
@@ -112,7 +107,7 @@ class TestAgainstSplu:
             self.assert_same_factor(F, ref, m)
 
     def test_coarse_matrix(self):
-        A = scaled_laplacian((4, 4))
+        A = grid.scaled_laplacian((4, 4))[0]
         part = build_partition(A.shape[0], 7, 0.5)
         A0 = build_coarse(part, A, 4).matrix
         self.assert_same_factor(linalg.factorize(A0), splu_reference(A0),
@@ -296,7 +291,7 @@ class TestFactorize:
 
 def d1_block(n):
     """The scaled d = 1 Laplacian's leading n x n block: tridiagonal."""
-    return scaled_laplacian((12,))[:n, :][:, :n].tocsr()
+    return grid.scaled_laplacian((12,))[0][:n, :][:, :n].tocsr()
 
 
 class TestSolveColumns:
@@ -384,7 +379,7 @@ class TestCSRProduct:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_laplacian(self, dtype):
-        A = scaled_laplacian((4, 3))
+        A = grid.scaled_laplacian((4, 3))[0]
         x = np.random.default_rng(41).standard_normal(A.shape[1])
         assert self.product(A, dtype)(x).tobytes() == (A @ x).tobytes()
 
@@ -407,12 +402,12 @@ class TestCSRProduct:
             assert x.tobytes() == (M.T @ y).tobytes()
         # a wide matrix, as R0 A is, and a square one
         for M in (sp.random(7, 90, density=0.3, random_state=rng, format="csr"),
-                  scaled_laplacian((4, 3))):
+                  grid.scaled_laplacian((4, 3))[0]):
             y = rng.standard_normal(M.shape[0])
             assert self.product(M, dtype).rmatvec(y).tobytes() == (M.T @ y).tobytes()
 
     def test_transposed_input_read_as_float64(self):
-        A = scaled_laplacian((3, 3))
+        A = grid.scaled_laplacian((3, 3))[0]
         product = self.product(A)
         rng = np.random.default_rng(44)
         for y in (rng.integers(-3, 4, 49), rng.standard_normal(49)
@@ -422,7 +417,7 @@ class TestCSRProduct:
 
     def test_input_read_as_float64(self):
         # integers, float32, booleans and a strided view
-        A = scaled_laplacian((3, 3))
+        A = grid.scaled_laplacian((3, 3))[0]
         product = self.product(A)
         rng = np.random.default_rng(42)
         for x in (rng.integers(-3, 4, 49), rng.standard_normal(49)
@@ -432,7 +427,7 @@ class TestCSRProduct:
             assert np.array_equal(product(x), A @ x)
 
     def test_rejects_wrong_length(self):
-        product = self.product(scaled_laplacian((3,)))
+        product = self.product(grid.scaled_laplacian((3,))[0])
         for x in (np.ones(6), np.ones(8), np.ones((7, 1))):
             with pytest.raises(ValueError):
                 product(x)
@@ -446,7 +441,7 @@ class TestCSRProduct:
             wide(np.ones(2))
 
     def test_rejects_malformed_arrays(self):
-        A = scaled_laplacian((3,))
+        A = grid.scaled_laplacian((3,))[0]
         ok = (A.indptr, A.indices, A.data, 7)
         assert linalg.CSRProduct(*ok).shape == (7, 7)
         bad_indices = A.indices.copy()

@@ -29,7 +29,7 @@ CASES = {
     # them; the coarse problem is solved by CG and stores no factor
     ((3, 3, 3, 3, 3, 2), 256, 16): (220.7, 15, 256, 6_641_668, 0, 39),
     # d = 1, N = 2^20 - 1: vectors of N dominate, not factors
-    ((20,), 256, 256): (319.3, 27, 4, 131_052, 262_142, 0),
+    ((20,), 256, 256): (304.2, 27, 4, 131_052, 262_142, 0),
     # d = 3: the local factors dominate; it reads 629-637 MiB since the
     # 32-bit assembly and the CSR scatter, either of which alone moved
     # the heap's layout under the factors by 4-9 MiB; bounds are not raised

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sfcdd import grid, linalg, schwarz
+from sfcdd import combine, grid, linalg, schwarz
 from sfcdd.coarse import build_coarse
 from sfcdd.partition import CyclicRange, build_partition
 from sfcdd.schwarz import (VARIANTS, WEIGHTINGS, SchwarzConfig,
@@ -612,14 +612,12 @@ class TestSharedFactors:
         # solve: it holds only while these four blocks, of 480 and 481
         # unknowns, stay distinct and each a group of its own; two of them
         # would group only past GROUP_UNKNOWNS = 512 unknowns
-        A = grid.assemble_laplacian((5, 5))
-        A_hat = grid.symmetrize_diag(A, np.zeros(A.shape[0]))[0]
-        part = build_partition(A.shape[0], 4, 0.5)
+        part = build_partition(grid.num_dofs((5, 5)), 4, 0.5)
         assert schwarz.GROUP_UNKNOWNS == 512
         assert group_starts([r.length for r in part.overlapped]) == [
             0, 1, 2, 3, 4]
-        op = setup(A_hat, part, build_coarse(part, A_hat, 4),
-                   SchwarzConfig("balanced", "omega"))
+        op = combine.build_operator((5, 5), part, 4,
+                                    SchwarzConfig("balanced", "omega"))[3]
         assert len(op._factorizations) == 4
         assert len({id(f) for f in op._factorizations}) == 4
 
@@ -644,8 +642,7 @@ class TestCoarseTerms:
         if isinstance(spec, int):
             A = random_scaled_spd(spec, 21)
         else:
-            A = grid.symmetrize_diag(grid.assemble_laplacian(spec),
-                                     np.zeros(grid.num_dofs(spec)))[0]
+            A = grid.scaled_laplacian(spec)[0]
         part = build_partition(A.shape[0], p, gamma)
         assert any(r.stop > part.n for r in part.overlapped)
         cs = build_coarse(part, A, q)
