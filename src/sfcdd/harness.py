@@ -17,7 +17,7 @@ import math
 import numbers
 import resource
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np

@@ -11,6 +11,7 @@ next ones, with the enumeration closed cyclically.  Ranges are stored as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,8 @@ class CyclicRange:
 
 def disjoint_partition(n: int, p: int) -> list[CyclicRange]:
     """P consecutive ranges tiling [0, N); the first N mod P get one extra index."""
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"P must be an integer, got {p!r}")
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= P <= N, got P={p}, N={n}")
     base, extra = divmod(n, p)

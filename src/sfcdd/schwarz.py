@@ -21,15 +21,19 @@ The diagonal weighting yields a symmetric
 operator exactly when every D_i is a multiple of the identity; otherwise
 the operator is flagged non-symmetric.
 
-With y1 = A_0^-1 R_0 g, the balanced apply is w = C^-1 (g - (R_0 A)^T y1),
-y2 = A_0^-1 (R_0 A) w and w + R_0^T (y1 - y2); the deflated apply is the
-same with w = C^-1 g.  R_0 A is the first factor of the Galerkin product,
-kept by the coarse space, and (R_0 A)^T = A R_0^T for the symmetric A.
-Cost per apply besides the one-level term: additive_two_level makes one
-restriction, one coarse solve and one prolongation; deflated two
-restrictions (by R_0 and by R_0 A), two coarse solves and one
-prolongation; balanced also one product by (R_0 A)^T.  No variant
-multiplies by A, and the operator does not hold it.
+The three two-level variants are one sequence of restrictions, coarse
+solves and prolongations (:class:`sfcdd.coarse.DeflationOperators`):
+  1. y = A_0^-1 R_0 g;
+  2. w = C^-1 (g - (R_0 A)^T y) for balanced, w = C^-1 g otherwise;
+  3. y -= A_0^-1 (R_0 A) w, except for additive_two_level;
+  4. return w + R_0^T y.
+R_0 A is the first factor of the Galerkin product, kept by the coarse
+space, and (R_0 A)^T = A R_0^T for the symmetric A.  Cost per apply
+besides the one-level term: additive_two_level makes one restriction,
+one coarse solve and one prolongation; deflated two restrictions (by R_0
+and by R_0 A), two coarse solves and one prolongation; balanced also one
+product by (R_0 A)^T.  No variant multiplies by A, and the operator does
+not hold it.
 """
 
 from __future__ import annotations
@@ -308,20 +312,16 @@ class SchwarzOperator:
         if variant == "one_level":
             return self._one_level(g)
         ops = self._deflation
-        # w, r and y are arrays of this call, so they are updated in place;
-        # g is never written
-        if variant == "additive_two_level":
-            w = self._one_level(g)
-            w += ops.coarse_correction(g)
-            return w
-        # F g and F A w as coarse vectors, prolonged once
-        y = ops.coarse_correction(g, prolong=False)
-        if variant == "deflated":
-            w = self._one_level(g)
-        else:  # balanced: C^-1 G g, with G g = g - A R0^T y
+        # the steps of the module docstring; w, r and y are arrays of this
+        # call, so they are updated in place, and g is never written
+        y = ops.coarse_correction(ops.restrict(g))
+        if variant == "balanced":  # C^-1 G g, with G g = g - A R0^T y
             r = ops.prolong_a(y)
             w = self._one_level(np.subtract(g, r, out=r))
-        y -= ops.coarse_correction(w, times_a=True, prolong=False)
+        else:
+            w = self._one_level(g)
+        if variant != "additive_two_level":
+            y -= ops.coarse_correction(ops.restrict_a(w))
         w += ops.prolong(y)
         return w
 

@@ -21,6 +21,11 @@ def dense_coarse_correction(cs, A):
     return R.T @ np.linalg.solve(A0, R)
 
 
+def coarse_term(ops, v):
+    """F v = R0^T A0^-1 R0 v from the operators' steps."""
+    return ops.prolong(ops.coarse_correction(ops.restrict(v)))
+
+
 class TestAggregateSizes:
     def test_exact_division(self):
         assert aggregate_sizes(12, 3) == [4, 4, 4]
@@ -120,6 +125,14 @@ class TestBuildCoarse:
         with pytest.raises(ValueError):
             build_coarse(part, A, 5)  # floor(12/3) = 4
 
+    @pytest.mark.parametrize("q", [2.0, 2.5])
+    def test_q_must_be_an_integer(self, q):
+        part = build_partition(12, 3, 0.0)
+        A = random_spd_csr(12, 6)
+        with pytest.raises(ValueError, match=f"q must be an integer, got {q}"):
+            build_coarse(part, A, q)
+        assert build_coarse(part, A, np.int64(2)).n0 == 6
+
 
 class TestDeflation:
     def setup_method(self):
@@ -134,7 +147,7 @@ class TestDeflation:
         rng = np.random.default_rng(7)
         for _ in range(3):
             v = rng.standard_normal(49)
-            np.testing.assert_allclose(self.ops.coarse_correction(v), F @ v,
+            np.testing.assert_allclose(coarse_term(self.ops, v), F @ v,
                                        atol=1e-10)
 
     def test_f_reproduces_coarse_vectors(self):
@@ -142,7 +155,7 @@ class TestDeflation:
         rng = np.random.default_rng(8)
         w = rng.standard_normal(self.cs.n0)
         v = self.cs.restriction.T @ w
-        np.testing.assert_allclose(self.ops.coarse_correction(self.A @ v), v,
+        np.testing.assert_allclose(coarse_term(self.ops, self.A @ v), v,
                                    atol=1e-10)
 
     def test_products_by_the_kept_restricted_matrix(self):
@@ -153,13 +166,14 @@ class TestDeflation:
         for _ in range(3):
             v = rng.standard_normal(49)
             y = rng.standard_normal(self.cs.n0)
-            np.testing.assert_allclose(
-                self.ops.coarse_correction(v, times_a=True),
-                self.ops.coarse_correction(A @ v), rtol=1e-13, atol=1e-13)
-            coarse = self.ops.coarse_correction(v, times_a=True, prolong=False)
+            coarse = self.ops.coarse_correction(self.ops.restrict_a(v))
             assert coarse.shape == (self.cs.n0,)
-            assert np.array_equal(self.ops.prolong(coarse),
-                                  self.ops.coarse_correction(v, times_a=True))
+            np.testing.assert_allclose(
+                self.ops.prolong(coarse), coarse_term(self.ops, A @ v),
+                rtol=1e-13, atol=1e-13)
+            assert np.array_equal(self.ops.restrict_a(v),
+                                  self.cs.restricted_matrix @ v)
+            assert np.array_equal(self.ops.prolong(y), R0.T @ y)
             np.testing.assert_allclose(self.ops.prolong_a(y), A @ (R0.T @ y),
                                        rtol=1e-14, atol=1e-14)
 
@@ -178,7 +192,7 @@ class TestDeflation:
         # R0 (v - A F v) = 0: the projected residual has no coarse component
         rng = np.random.default_rng(9)
         v = rng.standard_normal(49)
-        res = self.cs.restriction @ (v - self.A @ self.ops.coarse_correction(v))
+        res = self.cs.restriction @ (v - self.A @ coarse_term(self.ops, v))
         np.testing.assert_allclose(res, np.zeros(self.cs.n0), atol=1e-10)
 
 
@@ -207,7 +221,7 @@ class TestCoarseCorrectionScatter:
         for v in (rng.standard_normal(n), np.zeros(n),
                   rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)):
             expected = R0.T @ F.solve(R0 @ v)
-            np.testing.assert_array_equal(ops.coarse_correction(v), expected)
+            np.testing.assert_array_equal(coarse_term(ops, v), expected)
             # R0 v is bincount over the aggregate labels, bit for bit
             labels = np.repeat(np.arange(cs.n0), np.diff(R0.indptr))
             restrict = linalg.CSRProduct(R0.indptr, R0.indices, R0.data, n)
@@ -222,7 +236,6 @@ class TestCoarseCorrectionScatter:
         for v in (rng.integers(-3, 4, 49), np.ones(49, dtype=np.int32),
                   rng.standard_normal(49).astype(np.float32)):
             np.testing.assert_array_equal(
-                ops.coarse_correction(v),
-                ops.coarse_correction(v.astype(np.float64)))
+                coarse_term(ops, v), coarse_term(ops, v.astype(np.float64)))
         with pytest.raises(ValueError):
-            ops.coarse_correction(np.ones(48))
+            coarse_term(ops, np.ones(48))

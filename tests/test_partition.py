@@ -48,6 +48,12 @@ class TestDisjoint:
         with pytest.raises(ValueError):
             pt.disjoint_partition(3, 4)
 
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_p_must_be_an_integer(self, p):
+        with pytest.raises(ValueError, match=f"P must be an integer, got {p}"):
+            pt.build_partition(31, p, 0.5)
+        assert len(pt.disjoint_partition(31, np.int64(2))) == 2
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 5000), st.integers(1, 64))
     def test_balance_and_cover_randomized(self, n, p):
